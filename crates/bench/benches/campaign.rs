@@ -66,10 +66,7 @@ fn campaign_matrix(c: &mut Criterion) {
                     &suite,
                     &EngineOptions {
                         jobs: Some(jobs),
-                        shards: 0,
-                        cache: None,
-                        sanitize: false,
-                        measure: false,
+                        ..Default::default()
                     },
                 );
                 black_box(cells.len())
@@ -85,10 +82,8 @@ fn campaign_matrix(c: &mut Criterion) {
         &suite,
         &EngineOptions {
             jobs: Some(many),
-            shards: 0,
             cache: Some(&scratch.cache),
-            sanitize: false,
-            measure: false,
+            ..Default::default()
         },
     );
     assert!(warmed.iter().all(|cell| !cell.cache_hit));
@@ -101,10 +96,8 @@ fn campaign_matrix(c: &mut Criterion) {
                     &suite,
                     &EngineOptions {
                         jobs: Some(jobs),
-                        shards: 0,
                         cache: Some(&scratch.cache),
-                        sanitize: false,
-                        measure: false,
+                        ..Default::default()
                     },
                 );
                 assert!(cells.iter().all(|cell| cell.cache_hit));

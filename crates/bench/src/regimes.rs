@@ -1,8 +1,8 @@
-//! Load-regime trace fixtures for the `cargo xtask bench` harness.
+//! Load-regime trace fixtures for the repository benchmark (`dozz-bench`).
 //!
-//! The perf yardstick (ROADMAP item 5) does not measure the paper's
+//! The benchmark's simulator workloads do not use the paper's
 //! benchmark traces — those are calibrated for *energy* realism, not
-//! for stressing the simulator. Instead it runs three synthetic load
+//! for stressing the simulator. Instead they run synthetic load
 //! regimes chosen to pin distinct hot paths, mirroring the
 //! hot/pressure/thrash regime matrix of the simpledb exemplar:
 //!
@@ -18,15 +18,15 @@
 //!
 //! Fixtures are deterministic (seeded) and topology-generic, so the
 //! same regime runs on `mesh8x8` and `cmesh4x4` produce comparable
-//! work. Both the harness (`dozz-repro bench-cell`) and the Criterion
-//! benches can build traces from here.
+//! work. Both `dozz-bench` and the Criterion benches build traces from
+//! here.
 
 use dozznoc_topology::Topology;
 use dozznoc_traffic::patterns::{self, Pattern};
 use dozznoc_traffic::Trace;
 use dozznoc_types::CoreId;
 
-/// One load regime of the bench matrix.
+/// One load regime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Regime {
     /// Low uniform load: event-scheduling overhead dominates.
@@ -37,7 +37,7 @@ pub enum Regime {
     Hotspot,
 }
 
-/// All regimes in matrix order.
+/// All regimes, in declaration order.
 pub const ALL_REGIMES: [Regime; 3] = [Regime::Light, Regime::Saturation, Regime::Hotspot];
 
 impl Regime {

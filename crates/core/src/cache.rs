@@ -48,7 +48,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use dozz_sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
 
@@ -209,12 +209,11 @@ impl RunCache {
 
     /// Counters so far.
     pub fn stats(&self) -> CacheStats {
+        // Monotonic telemetry counters: a stale read only skews the
+        // reported hit rate, never control flow.
         CacheStats {
-            // xtask-analyze: allow(atomic-ordering) — monotonic telemetry counter;
             hits: self.hits.load(Ordering::Relaxed),
-            // xtask-analyze: allow(atomic-ordering) — a stale read only skews the
             misses: self.misses.load(Ordering::Relaxed),
-            // xtask-analyze: allow(atomic-ordering) — reported hit-rate, never control flow.
             stores: self.stores.load(Ordering::Relaxed),
         }
     }
@@ -229,10 +228,10 @@ impl RunCache {
     /// miss.
     pub fn get(&self, fp: Fingerprint, policy: &str, trace_name: &str) -> Option<RunReport> {
         let hit = self.load(fp, policy, trace_name);
+        // Counters order nothing; the cache payload is synchronized by
+        // the filesystem.
         match hit {
-            // xtask-analyze: allow(atomic-ordering) — counters order nothing; the
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            // xtask-analyze: allow(atomic-ordering) — cache payload is synchronized by the filesystem.
             None => self.misses.fetch_add(1, Ordering::Relaxed),
         };
         hit
@@ -273,13 +272,13 @@ impl RunCache {
         // second writer's half-written bytes (tests/stress_schedule.rs
         // reproduces exactly that).
         static TMP_SALT: AtomicU64 = AtomicU64::new(0);
-        // xtask-analyze: allow(atomic-ordering) — the counter only feeds a unique file name; no data is published through it
+        // The counter only feeds a unique file name; no data is
+        // published through it.
         let salt = TMP_SALT.fetch_add(1, Ordering::Relaxed);
         let tmp = self
             .dir
             .join(format!("{fp}.{}.{salt}.tmp", std::process::id()));
         if fs::write(&tmp, json).is_ok() && fs::rename(&tmp, self.entry_path(fp)).is_ok() {
-            // xtask-analyze: allow(atomic-ordering) — store counter is telemetry only.
             self.stores.fetch_add(1, Ordering::Relaxed);
         } else {
             let _ = fs::remove_file(&tmp);

@@ -12,7 +12,7 @@
 
 use std::num::NonZeroUsize;
 
-use dozz_sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
@@ -90,9 +90,7 @@ pub fn run_policy_with_telemetry(
 }
 
 /// Simulate one already-built policy, optionally under the invariant
-/// sanitizer: the sequential-engine funnel. Cells eligible for the
-/// sharded engine ([`EngineOptions::shards`] > 1) dispatch to
-/// [`dozznoc_noc::run_sharded`] instead, which is bit-identical.
+/// sanitizer: the one funnel every simulated campaign cell goes through.
 fn simulate(
     cfg: NocConfig,
     trace: &Trace,
@@ -361,8 +359,8 @@ impl Campaign {
     }
 
     /// Run registered policies over *pre-built traces* instead of the
-    /// benchmark generator — the entry point the `cargo xtask bench`
-    /// regime harness drives with synthetic load-regime traces. Every
+    /// benchmark generator — the entry point `dozz-bench` drives with
+    /// synthetic load-regime traces. Every
     /// engine property of [`Campaign::run_policy_cells`] holds: cells
     /// are (trace, spec) pairs in trace-major order, drained by
     /// `opts.jobs` workers, cached by trace digest × spec slug.
@@ -450,31 +448,10 @@ impl Campaign {
                 }
             }
 
-            // Engine selection: the sharded engine takes eligible cells
-            // (it produces bit-identical reports, so the cache and the
-            // goldens never see the difference); the sanitizer hooks
-            // the sequential loop, and policies with cross-router
-            // shared state must see every router from one instance.
-            let sharded = opts.shards > 1
-                && !opts.sanitize
-                && registry
-                    .shardable(spec)
-                    .expect("specs validated before scheduling");
-            let (report, sanitizer) = if sharded {
-                let report = dozznoc_noc::run_sharded(cfg, &trace, opts.shards, &|_shard| {
-                    registry
-                        .build(spec, &ctx)
-                        .expect("specs validated before scheduling")
-                })
-                // xtask-analyze: allow(panic-reachability) — driver-level escalation; a failed run invalidates the whole campaign
-                .unwrap_or_else(|e| panic!("policy on {} failed: {e}", trace.name));
-                (report, None)
-            } else {
-                let mut policy = registry
-                    .build(spec, &ctx)
-                    .expect("specs validated before scheduling");
-                simulate(cfg, &trace, policy.as_mut(), opts.sanitize)
-            };
+            let mut policy = registry
+                .build(spec, &ctx)
+                .expect("specs validated before scheduling");
+            let (report, sanitizer) = simulate(cfg, &trace, policy.as_mut(), opts.sanitize);
             if let (Some(cache), Some(fp)) = (opts.cache, fp) {
                 cache.put(fp, &slug, &report);
             }
@@ -530,15 +507,6 @@ pub struct EngineOptions<'a> {
     /// [`schedule::default_jobs`] (the machine's available
     /// parallelism); `jobs = 1` runs inline with no threads at all.
     pub jobs: Option<NonZeroUsize>,
-    /// Spatial shards *within* each simulated cell: `0` or `1` (the
-    /// default) runs the sequential engine; larger values run eligible
-    /// cells on [`dozznoc_noc::run_sharded`] with one worker thread per
-    /// shard, bit-identical to the sequential engine. Cells that need
-    /// the sanitizer or a non-shardable policy fall back to one shard.
-    /// Orthogonal to `jobs` — cell-level and intra-cell parallelism
-    /// multiply, so drive `shards` up only when the cell count is small
-    /// (a lone saturation run), not across a wide campaign matrix.
-    pub shards: usize,
     /// Content-addressed run cache to consult and fill. `None` always
     /// simulates.
     pub cache: Option<&'a RunCache>,

@@ -1,8 +1,9 @@
 //! Per-cell resource measurement for the campaign engine.
 //!
-//! The `cargo xtask bench` regime harness needs decision-grade numbers
-//! per engine cell: wall-clock, CPU time actually burned by the worker
-//! thread, and the process's peak resident set. Wall-clock comes from
+//! `EngineOptions::measure` attaches decision-grade numbers to every
+//! engine cell (the repository benchmark, `dozz-bench`, reads them):
+//! wall-clock, CPU time actually burned by the worker thread, and the
+//! process's peak resident set. Wall-clock comes from
 //! [`std::time::Instant`]; the other two are read from Linux `/proc`
 //! (there is no libc dependency in this workspace, and `std` exposes
 //! neither thread CPU clocks nor rusage). On non-Linux hosts the
@@ -17,9 +18,7 @@
 //!   drawing conclusions; single short cells round to zero.
 //! * **Peak RSS** (`VmHWM` in `/proc/self/status`) is a *process-wide*
 //!   high-water mark, not a per-cell delta. A cell's reading is "the
-//!   largest the process had been by the time this cell finished". The
-//!   bench harness resets the high-water mark (`/proc/self/clear_refs`)
-//!   after setup so the peak reflects the measured phase.
+//!   largest the process had been by the time this cell finished".
 
 use std::time::Instant;
 
@@ -103,13 +102,6 @@ pub fn max_rss_bytes() -> u64 {
         }
     }
     0
-}
-
-/// Reset the process's RSS high-water mark so a later
-/// [`max_rss_bytes`] reflects only allocation past this point.
-/// Linux-only (`/proc/self/clear_refs`); silently a no-op elsewhere.
-pub fn reset_max_rss() {
-    let _ = std::fs::write("/proc/self/clear_refs", "5");
 }
 
 /// Sum of utime+stime clock ticks from a `/proc/*/stat` file, or `None`

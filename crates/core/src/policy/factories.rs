@@ -244,12 +244,6 @@ impl PolicyFactory for RlBufferFactory {
         "RACE-style tabular Q-learning over discretized buffer/injection \
          state (alpha, gamma, epsilon, seed, gating)"
     }
-    fn shardable(&self) -> bool {
-        // The Q-table is shared across routers (every router's
-        // experience trains one controller); per-shard instances would
-        // each learn from a subset and diverge from the sequential run.
-        false
-    }
     fn build(
         &self,
         spec: &PolicySpec,

@@ -34,7 +34,7 @@
 //! jobs=1 / jobs=8 / warm-cache bit-identity for every registered
 //! policy.
 
-use dozz_sync::OnceLock;
+use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
@@ -292,18 +292,6 @@ pub trait PolicyFactory: Send + Sync {
         false
     }
 
-    /// Whether built policies may run on the spatially-sharded
-    /// intra-run engine ([`dozznoc_noc::shard`]), which gives each
-    /// shard its *own* policy instance seeing only its routers'
-    /// observations. True (the default) requires every learned or
-    /// derived quantity to be per-router, so N instances decide
-    /// identically to one. Policies with cross-router shared state
-    /// (e.g. a shared Q-table) must return false; the engine then
-    /// falls back to the sequential path.
-    fn shardable(&self) -> bool {
-        true
-    }
-
     /// Construct one policy instance for `spec`. Rejects unknown or
     /// out-of-range parameters with a [`PolicyError`] instead of
     /// panicking — factories run inside campaign workers.
@@ -430,12 +418,6 @@ impl PolicyRegistry {
         ctx: &PolicyContext<'_>,
     ) -> Result<Box<dyn PowerPolicy>, PolicyError> {
         self.resolve(spec.name())?.build(spec, ctx)
-    }
-
-    /// Whether `spec`'s policy may run on the sharded intra-run engine
-    /// (see [`PolicyFactory::shardable`]).
-    pub fn shardable(&self, spec: &PolicySpec) -> Result<bool, PolicyError> {
-        Ok(self.resolve(spec.name())?.shardable())
     }
 }
 

@@ -17,15 +17,15 @@
 //!   the single-job configuration literally the sequential engine that
 //!   parallel runs are compared against in `tests/determinism.rs`.
 //!
-//! All synchronization goes through the `dozz_sync` facade (`cargo
-//! xtask analyze`'s `sync-facade` pass denies raw `std::sync` /
-//! `std::thread` outside `crates/sync`), which is what lets
-//! `cargo xtask model-check` drive this scheduler — cursor claims and
-//! scope joins included — through every interleaving.
+//! This is the only module in the workspace that spawns threads
+//! (`cargo xtask lint`'s `thread-spawn` scan enforces it). Cursor
+//! uniqueness and slot integrity under oversubscription are stressed by
+//! `tests/stress_schedule.rs`, which the nightly ThreadSanitizer job
+//! also runs.
 
 use std::num::NonZeroUsize;
 
-use dozz_sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A shared injector over `count` tasks: workers steal ascending
 /// indices until the list is drained. Claiming is a single
@@ -92,7 +92,7 @@ where
 
     let injector = Injector::new(count);
     let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
-    dozz_sync::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         // Workers return their (index, result) batches through their
         // join handles; the claiming injector guarantees the index sets
         // are disjoint, so the merge below is plain indexed writes into
@@ -132,7 +132,7 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
 
-    use dozz_sync::Mutex;
+    use std::sync::Mutex;
 
     fn jobs(n: usize) -> NonZeroUsize {
         NonZeroUsize::new(n).expect("test job counts are positive")

@@ -23,12 +23,6 @@ pub struct Ctx {
     /// Worker threads for campaign matrices (`--jobs N`, or the
     /// `DOZZ_JOBS` env var). `None` uses every available core.
     pub jobs: Option<NonZeroUsize>,
-    /// Spatial shards *within* each simulated cell (`--shards N`, or
-    /// the `DOZZ_SHARDS` env var). `0`/`1` run the sequential engine;
-    /// the sharded engine is bit-identical, so this is purely a
-    /// wall-clock knob. Orthogonal to `--jobs`: the two multiply, so
-    /// shard lone saturation runs, not wide matrices.
-    pub shards: usize,
     /// Disable the content-addressed run cache (`--no-cache`): every
     /// cell simulates even when a stored report exists.
     pub no_cache: bool,
@@ -36,9 +30,9 @@ pub struct Ctx {
 
 impl Ctx {
     /// Parse `--quick`, `--out DIR`, `--seed N`, `--bench NAME`,
-    /// `--model NAME`, `--jobs N`, `--shards N`, `--no-cache` from the
-    /// argument list. When `--jobs` (`--shards`) is absent, the
-    /// `DOZZ_JOBS` (`DOZZ_SHARDS`) environment variable is consulted.
+    /// `--model NAME`, `--jobs N`, `--no-cache` from the argument list.
+    /// When `--jobs` is absent, the `DOZZ_JOBS` environment variable is
+    /// consulted.
     pub fn from_args(args: &[String]) -> Ctx {
         let mut ctx = Ctx {
             out_dir: PathBuf::from("results"),
@@ -47,7 +41,6 @@ impl Ctx {
             bench: None,
             model: None,
             jobs: None,
-            shards: 0,
             no_cache: false,
         };
         let parse_jobs = |s: &str, origin: &str| -> NonZeroUsize {
@@ -73,10 +66,6 @@ impl Ctx {
                     let v = it.next().expect("--jobs needs a worker count");
                     ctx.jobs = Some(parse_jobs(v, "--jobs"));
                 }
-                "--shards" => {
-                    let v = it.next().expect("--shards needs a shard count");
-                    ctx.shards = parse_jobs(v, "--shards").get();
-                }
                 "--bench" => {
                     ctx.bench = Some(it.next().expect("--bench needs a benchmark name").clone())
                 }
@@ -89,11 +78,6 @@ impl Ctx {
         if ctx.jobs.is_none() {
             if let Ok(v) = std::env::var("DOZZ_JOBS") {
                 ctx.jobs = Some(parse_jobs(&v, "DOZZ_JOBS"));
-            }
-        }
-        if ctx.shards == 0 {
-            if let Ok(v) = std::env::var("DOZZ_SHARDS") {
-                ctx.shards = parse_jobs(&v, "DOZZ_SHARDS").get();
             }
         }
         ctx
@@ -114,12 +98,11 @@ impl Ctx {
         (!self.no_cache).then(|| RunCache::open(self.out_dir.join(".runcache")))
     }
 
-    /// Engine options for a campaign run: `--jobs` workers, `--shards`
-    /// spatial shards per cell and the given cache handle.
+    /// Engine options for a campaign run: `--jobs` workers and the
+    /// given cache handle.
     pub fn engine_opts<'a>(&self, cache: Option<&'a RunCache>) -> EngineOptions<'a> {
         EngineOptions {
             jobs: self.jobs,
-            shards: self.shards,
             cache,
             sanitize: false,
             measure: false,

@@ -1,7 +1,7 @@
 //! `dozz-repro` — regenerate every table and figure of the DozzNoC paper.
 //!
 //! ```text
-//! dozz-repro <command> [--quick] [--out DIR] [--seed N] [--jobs N] [--shards N] [--no-cache]
+//! dozz-repro <command> [--quick] [--out DIR] [--seed N] [--jobs N] [--no-cache]
 //!
 //! commands:
 //!   table1            LDO dropout ranges (Table I)
@@ -26,7 +26,6 @@
 //!   timeline          per-router mode/energy time-series via telemetry
 //!   tournament        every registered policy ranked head-to-head
 //!   check             run the evaluation matrix under the invariant sanitizer
-//!   bench-cell        one measured cell of the `cargo xtask bench` regime matrix
 //!   transition-cost   rail-transition energy vs the savings it erodes
 //!   routing           XY vs YX dimension-order sensitivity
 //!   all               everything above, sharing one training pass
@@ -37,15 +36,10 @@
 //! available core, or the `DOZZ_JOBS` env var) and replay previously
 //! simulated cells from the content-addressed run cache under
 //! `<out>/.runcache/`; `--no-cache` forces every cell to simulate.
-//! `--shards N` (or `DOZZ_SHARDS`) splits each simulated cell across N
-//! spatially-sharded worker threads — bit-identical results, so use it
-//! to speed up lone saturation runs rather than wide matrices (the two
-//! knobs multiply).
 //! Results print as paper-style rows and are also written as CSV under
 //! `--out` (default `results/`).
 
 mod ablations;
-mod bench_cell;
 mod check;
 mod ctx;
 mod engine;
@@ -69,12 +63,6 @@ use ctx::Ctx;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let command = args.first().map(String::as_str).unwrap_or("help");
-    if command == "bench-cell" {
-        // Parses its own (disjoint) flag surface; bypasses Ctx, which
-        // treats unknown flags as fatal.
-        bench_cell::run(&args[1..]);
-        return;
-    }
     let ctx = Ctx::from_args(&args[1.min(args.len())..]);
 
     let started = std::time::Instant::now();
@@ -141,11 +129,10 @@ fn main() {
 const HELP: &str = "\
 dozz-repro — regenerate the DozzNoC paper's tables and figures
 
-usage: dozz-repro <command> [--quick] [--out DIR] [--seed N] [--jobs N] [--shards N] [--no-cache]
+usage: dozz-repro <command> [--quick] [--out DIR] [--seed N] [--jobs N] [--no-cache]
        dozz-repro timeline [--bench NAME] [--model NAME] [flags above]
        dozz-repro tournament [flags above]
        dozz-repro check [--bench NAME] [flags above]
-       dozz-repro bench-cell --regime R --topo T --jobs N [--shards N] [--duration-ns D] [--seed S] [--traces K]
 
 --model accepts any registered policy: paper slugs and aliases plus
 plug-in specs like `rl-buffer?epsilon=0.2&seed=9`; `tournament` ranks
@@ -153,9 +140,7 @@ all of them (energy, latency, throughput, EDP, per-benchmark wins).
 
 campaign matrices run on --jobs N workers (default: all cores, or the
 DOZZ_JOBS env var) with a content-addressed run cache under
-<out>/.runcache/; --no-cache forces every cell to simulate. --shards N
-(or DOZZ_SHARDS) splits each cell across N spatially-sharded workers —
-bit-identical results, purely a wall-clock knob.
+<out>/.runcache/; --no-cache forces every cell to simulate.
 
 commands: table1 table2 table3 table4 table5 fig5 fig6 fig7 fig8 fig9
           headline sweep-epoch overhead ablation-features ablation-gating

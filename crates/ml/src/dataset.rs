@@ -89,6 +89,7 @@ impl Dataset {
 
     /// Project the dataset onto a subset of feature columns (used by the
     /// Fig. 9 single-feature study). Panics if an index is out of range.
+    #[must_use]
     pub fn project(&self, columns: &[usize]) -> Dataset {
         for &c in columns {
             assert!(c < self.dim, "column {c} out of range");
@@ -199,6 +200,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn bad_projection_rejected() {
-        sample().project(&[2]);
+        let _ = sample().project(&[2]);
     }
 }

@@ -20,6 +20,10 @@
 //! * [`rl`] — a deterministic tabular Q-learning substrate (seedable
 //!   xorshift exploration) for the RACE-style RL policy extension.
 
+// Unit tests assert table constants and exactly-rounded arithmetic
+// bit-for-bit; exact float equality is the point there.
+#![cfg_attr(test, allow(clippy::float_cmp))]
+
 pub mod dataset;
 pub mod features;
 pub mod linalg;

@@ -82,6 +82,7 @@ impl Matrix {
 
     /// `selfᵀ · self` (the Gram matrix), computed without materializing
     /// the transpose.
+    #[must_use]
     pub fn gram(&self) -> Matrix {
         let n = self.cols;
         let mut g = Matrix::zeros(n, n);

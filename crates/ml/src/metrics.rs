@@ -56,10 +56,8 @@ pub fn r_squared(predictions: &[f64], targets: &[f64]) -> f64 {
         .sum();
     // A sum of squares is exactly 0.0 iff every term is 0.0, so these are
     // sentinels for the constant-target regime, not tolerance checks.
-    // xtask-analyze: allow(float-compare) — exact-zero sentinel (see above).
     if ss_tot == 0.0 {
         // Constant targets: perfect iff residuals vanish.
-        // xtask-analyze: allow(float-compare) — same exact-zero sentinel.
         return if ss_res == 0.0 {
             1.0
         } else {

@@ -36,11 +36,8 @@ pub struct NocConfig {
     /// buggy policies; generous: ~20× a typical trace horizon).
     pub max_ticks: u64,
     /// Link traversal latency in base ticks: a flit handed downstream at
-    /// tick *t* is first visible there at `t + lookahead_ticks`. This is
-    /// also the conservative lookahead the sharded engine's time-window
-    /// barrier is built on — cross-shard traffic emitted inside a window
-    /// cannot take effect before the next one — so it must be ≥ 1 (see
-    /// [`NocConfig::try_with_lookahead_ticks`]).
+    /// tick *t* is first visible there at `t + lookahead_ticks`, so it
+    /// must be ≥ 1 (see [`NocConfig::try_with_lookahead_ticks`]).
     pub lookahead_ticks: u64,
 }
 
@@ -62,10 +59,8 @@ impl NocConfig {
         }
     }
 
-    /// Override the link latency (shard-barrier lookahead). Rejects
-    /// zero: a flit must spend at least one base tick on the wire, and
-    /// the sharded engine derives its conservative barrier window from
-    /// this latency.
+    /// Override the link latency. Rejects zero: a flit must spend at
+    /// least one base tick on the wire.
     #[must_use = "the updated builder is returned, not applied in place"]
     pub fn try_with_lookahead_ticks(mut self, lookahead_ticks: u64) -> Result<Self, ConfigError> {
         if lookahead_ticks == 0 {
@@ -114,6 +109,7 @@ impl NocConfig {
     }
 
     /// Disable Power Punch-style path wake punching (ablation).
+    #[must_use]
     pub fn without_wake_punch(mut self) -> Self {
         self.wake_punch = false;
         self

@@ -11,26 +11,24 @@
 //! carries `ready_at = tick + lookahead_ticks`, so it can never traverse
 //! two routers within one base tick regardless of router iteration order.
 //!
-//! ## Tick-edge settlement
+//! ## End-of-tick application
 //!
 //! Every event tick runs in two phases. During the **fire** phase a
 //! router mutates only *its own* state; anything it does to another
 //! router — handing over a flit, taking or releasing a downstream-secure
-//! reference, punching a wake signal — is emitted as a deferred [`Msg`]
-//! instead of applied in place. Cross-router *reads* (is the downstream
-//! router operational, which of its VCs accept a new packet) go through
-//! per-router snapshots settled at the end of the previous tick. The
-//! **settle** phase then applies all messages in a deterministic key
-//! order — `(phase, source, emission seq)` — and rebuilds the snapshots
-//! of every router that fired or was targeted.
+//! reference, punching a wake signal — is queued as a deferred
+//! `Effect` instead of applied in place. Cross-router *reads* (is the
+//! downstream router operational, which of its VCs accept a new packet)
+//! go through per-router snapshots taken at the end of the previous
+//! tick. The **settle** phase then applies the queued effects in
+//! emission order (admissions in packet order, then firings in router
+//! index order) and rebuilds the snapshots of every router that fired or
+//! was targeted.
 //!
-//! Because firings touch disjoint state and settlement order is fixed by
-//! the keys (not by who computed what first), the network can be
-//! partitioned into spatial shards that fire concurrently and exchange
-//! messages at a conservative time-window barrier, producing the *same
-//! bits* as this single-threaded loop (see `crate::shard`). The
-//! sequential engine is simply the one-shard instance of the same phased
-//! code.
+//! The split is what the goldens pin: a router that fires later in a
+//! tick sees the network as it stood at the start of the tick, never an
+//! earlier router's same-tick effects, so the outcome does not depend on
+//! router iteration order.
 //!
 //! ## Power mechanics
 //!
@@ -79,6 +77,14 @@ pub enum SimError {
         /// The violation that aborted the run.
         violation: InvariantViolation,
     },
+    /// The trace was generated for a different core count than the
+    /// configured topology attaches.
+    TraceCoreMismatch {
+        /// Cores the trace addresses.
+        trace_cores: usize,
+        /// Cores the topology attaches.
+        topology_cores: usize,
+    },
 }
 
 impl core::fmt::Display for SimError {
@@ -97,6 +103,13 @@ impl core::fmt::Display for SimError {
                     violation.tick, violation.kind
                 )
             }
+            SimError::TraceCoreMismatch {
+                trace_cores,
+                topology_cores,
+            } => write!(
+                f,
+                "trace has {trace_cores} cores but the topology attaches {topology_cores}"
+            ),
         }
     }
 }
@@ -106,15 +119,13 @@ impl std::error::Error for SimError {}
 /// A cross-router side effect deferred to the end-of-tick settlement.
 ///
 /// Every mutation of a router other than the one currently firing is
-/// expressed as one of these; the settle phase applies them in [`Msg`]
-/// key order. `Punch` and `Secure` are emitted *unconditionally* (no
-/// "is the target gated?" check at the emitter): the emitter only has a
-/// settled snapshot of its physical neighbors, while punches target
-/// arbitrary routers along a path — filtering on possibly-stale state
-/// would make the outcome depend on who owns the target. The gate check
-/// happens at apply time against the target's live state.
+/// expressed as one of these; the settle phase applies them in emission
+/// order. `Punch` and `Secure` are emitted *unconditionally* (no "is the
+/// target gated?" check at the emitter): the emitter only has the
+/// start-of-tick snapshot of its neighbors, so the gate check happens at
+/// apply time against the target's live state.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Effect {
+enum Effect {
     /// Admission-time wake punch along a packet's XY path.
     Punch {
         /// Target router index.
@@ -143,66 +154,25 @@ pub(crate) enum Effect {
         flit: Flit,
         /// Earliest tick the flit may move on downstream.
         ready_at: u64,
-        /// Tick the packet's head entered the network (carried along so
-        /// the ejecting shard can report network latency without owning
-        /// the source router).
-        entered: u64,
     },
-}
-
-impl Effect {
-    /// The router whose owner must apply this effect.
-    #[inline]
-    pub(crate) fn target(&self) -> u32 {
-        match *self {
-            Effect::Punch { router } | Effect::Secure { router } | Effect::Unsecure { router } => {
-                router
-            }
-            Effect::Transfer { dst, .. } => dst,
-        }
-    }
-}
-
-/// One deferred effect with its deterministic settlement key.
-///
-/// `phase` 0 is admission (keyed by global packet index), phase 1 is
-/// router firing (keyed by source router index); `seq` orders emissions
-/// from the same source within one tick. Sorting a tick's messages by
-/// `(phase, src_key, seq)` reproduces exactly the order the sequential
-/// loop emits them in, which is what makes sharded settlement
-/// bit-identical.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Msg {
-    pub(crate) phase: u8,
-    pub(crate) src_key: u64,
-    pub(crate) seq: u32,
-    pub(crate) effect: Effect,
-}
-
-impl Msg {
-    /// The total settlement order.
-    #[inline]
-    pub(crate) fn key(&self) -> (u8, u64, u32) {
-        (self.phase, self.src_key, self.seq)
-    }
 }
 
 /// Settled per-router metadata (state as of the end of the previous
 /// tick), read by *other* routers during the fire phase.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct SnapMeta {
+struct SnapMeta {
     /// `state.is_operational()` at settlement.
-    pub(crate) operational: bool,
+    operational: bool,
     /// T-Switch stall deadline at settlement.
-    pub(crate) stall_until: u64,
+    stall_until: u64,
     /// Clock divisor at settlement (downstream pipeline timing).
-    pub(crate) divisor: u64,
+    divisor: u64,
 }
 
 /// Snapshot VC flag: the VC can accept a new packet's head.
-pub(crate) const SNAP_ACCEPTS_NEW: u8 = 1 << 0;
+const SNAP_ACCEPTS_NEW: u8 = 1 << 0;
 /// Snapshot VC flag: the VC has space for one more flit.
-pub(crate) const SNAP_HAS_SPACE: u8 = 1 << 1;
+const SNAP_HAS_SPACE: u8 = 1 << 1;
 
 /// The simulated network.
 ///
@@ -266,28 +236,17 @@ pub struct Network {
     /// it must not perturb run-cache fingerprints.
     dump_on_livelock: bool,
     /// Deferred cross-router effects emitted during the current tick's
-    /// fire phase, in emission order. The sequential loop emits them
-    /// already sorted by settlement key; the sharded engine merges
-    /// outboxes from several shards and sorts.
-    pub(crate) outbox: Vec<Msg>,
-    /// Per-source emission counter (reset before each admission packet
-    /// and each router firing; the `seq` of the next emitted message).
-    emit_seq: u32,
+    /// fire phase, in emission order.
+    outbox: Vec<Effect>,
     /// Settled per-router metadata, indexed by router.
-    pub(crate) snap_meta: Vec<SnapMeta>,
+    snap_meta: Vec<SnapMeta>,
     /// Settled per-VC flags ([`SNAP_ACCEPTS_NEW`] | [`SNAP_HAS_SPACE`]),
     /// flattened `(router · ports + port) · vcs + vc`.
-    pub(crate) snap_vc: Vec<u8>,
+    snap_vc: Vec<u8>,
     /// Routers whose snapshot is stale (fired or was a settle target).
     dirty: Vec<bool>,
     /// Dense list backing `dirty`.
     dirty_list: Vec<u32>,
-    /// Router-index range this instance owns. The sequential engine
-    /// owns everything; a shard restricted via [`Network::restrict`]
-    /// fires, admits for, and bills only this range — every other
-    /// router's `Router` struct is untouched dead weight whose *snapshot*
-    /// (installed by the owning shard) is the only thing read.
-    pub(crate) owned: std::ops::Range<usize>,
 }
 
 impl Network {
@@ -333,33 +292,13 @@ impl Network {
             // xtask-analyze: allow(determinism-taint) — read once at construction, before any simulation state exists; the flag only gates error-path printing, never simulation output
             dump_on_livelock: std::env::var_os("DOZZNOC_DUMP_ON_LIVELOCK").is_some(),
             outbox: Vec::new(),
-            emit_seq: 0,
             snap_meta: vec![SnapMeta::default(); n],
             snap_vc: vec![0; n * topo.ports_per_router() * cfg.vcs_per_port],
             dirty: vec![false; n],
             dirty_list: Vec::new(),
-            owned: 0..n,
         };
         net.refresh_all_snaps();
         net
-    }
-
-    /// Restrict this instance to a contiguous shard of routers: only
-    /// `owned` routers are scheduled, admitted for, and billed. The
-    /// foreign remainder of every per-router array stays allocated (so
-    /// global indices keep working) but is only ever written through
-    /// settled messages routed here by the sharded engine — which, for
-    /// a restricted instance, never targets a foreign router.
-    pub(crate) fn restrict(&mut self, owned: std::ops::Range<usize>) {
-        assert!(owned.end <= self.routers.len() && !owned.is_empty());
-        self.sched = (owned.clone()).map(|i| Reverse((0u64, i as u32))).collect();
-        self.owned = owned;
-    }
-
-    /// Size the per-packet entry table (the run loop does this from the
-    /// trace; the sharded engine calls it per shard instance).
-    pub(crate) fn prepare_packets(&mut self, num_packets: usize) {
-        self.net_entry = vec![u64::MAX; num_packets];
     }
 
     /// The configuration in force.
@@ -456,13 +395,14 @@ impl Network {
         // Sanitizer fast path mirrors `tel_enabled`: one bool decides
         // whether the per-tick sweep call exists at all.
         let san_enabled = san.as_ref().is_some_and(|s| s.is_enabled());
-        assert_eq!(
-            trace.num_cores,
-            self.topo.num_cores(),
-            "trace core count does not match the topology"
-        );
+        if trace.num_cores != self.topo.num_cores() {
+            return Err(SimError::TraceCoreMismatch {
+                trace_cores: trace.num_cores,
+                topology_cores: self.topo.num_cores(),
+            });
+        }
         let packets = trace.packets();
-        self.prepare_packets(packets.len());
+        self.net_entry = vec![u64::MAX; packets.len()];
         let mut next_pkt = 0usize;
         let ml_overhead = policy.ml_features().map(MlOverhead::for_features);
         self.tel_enabled = tel.is_enabled();
@@ -474,7 +414,7 @@ impl Network {
         loop {
             self.admit(packets, &mut next_pkt);
             self.fire(policy, ml_overhead.as_ref(), tel);
-            self.settle_local();
+            self.settle();
 
             // Deliver the transitions this tick produced (admissions
             // included) in one batch; events carry their own timestamps.
@@ -549,11 +489,9 @@ impl Network {
         Ok(report)
     }
 
-    /// Assemble the final [`RunReport`] from this instance's settled
-    /// accounting. Call only after the run loop has finished and
-    /// residency has been flushed — and, in the sharded engine, after
-    /// every other shard has been [`absorb`](Network::absorb)ed.
-    pub(crate) fn build_report(&self, policy: &str, trace: &str) -> RunReport {
+    /// Assemble the final [`RunReport`]. Call only after the run loop
+    /// has finished and residency has been flushed.
+    fn build_report(&self, policy: &str, trace: &str) -> RunReport {
         let per_router = self
             .ledger
             .routers()
@@ -576,76 +514,47 @@ impl Network {
         }
     }
 
-    /// Fold another, disjointly-restricted instance's owned accounting
-    /// into this one — the sharded engine's reduce step. Counters are
-    /// integers and every ledger entry is billed by exactly one owner
-    /// shard (all billing targets the firing router), so each per-entry
-    /// sum here adds a real value to a still-default one and the merged
-    /// ledger is bit-identical to a sequential run's.
-    pub(crate) fn absorb(&mut self, other: &Network) {
-        self.stats.merge(&other.stats);
-        self.ledger.merge(&other.ledger);
-    }
-
     /// Admit packets whose injection time has arrived.
-    ///
-    /// Every instance walks the *full* packet list so `next_pkt` stays
-    /// globally synchronized across shards; a packet is acted on only by
-    /// the instance owning its source router. Wake punches are emitted
-    /// as deferred messages keyed by global packet index, so their
-    /// settlement order is the global admission order regardless of
-    /// which shard emitted them.
-    pub(crate) fn admit(&mut self, packets: &[dozznoc_types::Packet], next_pkt: &mut usize) {
+    fn admit(&mut self, packets: &[dozznoc_types::Packet], next_pkt: &mut usize) {
         while *next_pkt < packets.len() && packets[*next_pkt].inject_time.ticks() <= self.now {
             let p = &packets[*next_pkt];
-            let home = self.topo.router_of_core(p.src).idx();
-            if self.owned.contains(&home) {
-                self.stats.packets_injected += 1;
-                self.in_flight += p.flit_count() as u64;
-                for f in p.flits() {
-                    self.inject[p.src.idx()].push_back(f);
-                }
-                // Power Punch-style wake punching: the packet's XY path
-                // is fully determined at injection, so wake signals race
-                // ahead of it and gated routers charge up while the
-                // packet is still upstream — this is what makes the
-                // gating *partially non-blocking* rather than adding a
-                // full T-Wakeup per hop. (Routers are only *secured*
-                // one hop ahead, at route compute.)
-                self.emit_seq = 0;
-                if self.cfg.wake_punch {
-                    // `path` borrows the precomputed table, so the walk
-                    // re-indexes per hop instead of holding the slice
-                    // across the emission calls.
-                    let hops = self.xy.path(p.src, p.dst).len();
-                    for h in 0..hops {
-                        let hop = self.xy.path(p.src, p.dst)[h].idx();
-                        self.emit(0, *next_pkt as u64, Effect::Punch { router: hop as u32 });
-                    }
-                } else {
-                    // Ablation: only the home router wakes at injection;
-                    // downstream routers wait for the one-hop look-ahead.
-                    self.emit(
-                        0,
-                        *next_pkt as u64,
-                        Effect::Punch {
-                            router: home as u32,
-                        },
-                    );
-                }
+            self.stats.packets_injected += 1;
+            self.in_flight += p.flit_count() as u64;
+            for f in p.flits() {
+                self.inject[p.src.idx()].push_back(f);
+            }
+            // Power Punch-style wake punching: the packet's XY path is
+            // fully determined at injection, so wake signals race ahead
+            // of it and gated routers charge up while the packet is
+            // still upstream — this is what makes the gating *partially
+            // non-blocking* rather than adding a full T-Wakeup per hop.
+            // (Routers are only *secured* one hop ahead, at route
+            // compute.)
+            if self.cfg.wake_punch {
+                let path = self.xy.path(p.src, p.dst);
+                self.outbox.extend(path.iter().map(|hop| Effect::Punch {
+                    router: hop.idx() as u32,
+                }));
+            } else {
+                // Ablation: only the home router wakes at injection;
+                // downstream routers wait for the one-hop look-ahead.
+                let home = self.topo.router_of_core(p.src).idx();
+                self.outbox.push(Effect::Punch {
+                    router: home as u32,
+                });
             }
             *next_pkt += 1;
         }
     }
 
-    /// Fire every owned router whose local cycle lands on this tick.
+    /// Fire every router whose local cycle lands on this tick.
     ///
     /// Same-tick entries pop in router-index order; a popped entry that
     /// no longer matches the router's `next_cycle_at` is stale (the
     /// router re-armed, or a wake-up pulled it earlier) and is dropped.
     /// A firing router's re-arm lands strictly in the future, so this
     /// drain terminates.
-    pub(crate) fn fire(
+    fn fire(
         &mut self,
         policy: &mut dyn PowerPolicy,
         ml_overhead: Option<&MlOverhead>,
@@ -662,7 +571,6 @@ impl Network {
             }
             debug_assert_eq!(t, self.now, "router cycle slipped past the clock");
             self.sched.pop();
-            self.emit_seq = 0;
             self.mark_dirty(idx);
             self.step_router(i, policy, ml_overhead, tel);
             let r = &mut self.routers[i];
@@ -671,50 +579,21 @@ impl Network {
         }
     }
 
-    /// Append a deferred effect with the next emission sequence number.
-    fn emit(&mut self, phase: u8, src_key: u64, effect: Effect) {
-        let seq = self.emit_seq;
-        self.emit_seq += 1;
-        self.outbox.push(Msg {
-            phase,
-            src_key,
-            seq,
-            effect,
-        });
-    }
-
-    /// Settle this tick entirely from the local outbox (the sequential
-    /// engine's path). Admission emits in ascending packet order and the
-    /// fire drain in ascending router order, so the outbox is already in
-    /// settlement-key order — asserted, never sorted.
-    pub(crate) fn settle_local(&mut self) {
-        debug_assert!(
-            self.outbox.windows(2).all(|w| w[0].key() <= w[1].key()),
-            "sequential outbox must be pre-sorted by settlement key"
-        );
-        let msgs = std::mem::take(&mut self.outbox);
-        for m in &msgs {
-            self.apply_msg(m);
+    /// Apply this tick's deferred effects in emission order, then
+    /// refresh the snapshots they (or this tick's firings) staled.
+    fn settle(&mut self) {
+        let effects = std::mem::take(&mut self.outbox);
+        for &e in &effects {
+            self.apply(e);
         }
-        self.outbox = msgs; // keep the allocation for the next tick
+        self.outbox = effects; // keep the allocation for the next tick
         self.outbox.clear();
         self.rebuild_dirty_snaps();
     }
 
-    /// Apply an already-sorted batch of settled messages, then refresh
-    /// the snapshots they (or this tick's firings) staled. The sharded
-    /// engine calls this with the merged inter-shard batch.
-    pub(crate) fn settle_msgs(&mut self, msgs: &[Msg]) {
-        debug_assert!(msgs.windows(2).all(|w| w[0].key() <= w[1].key()));
-        for m in msgs {
-            self.apply_msg(m);
-        }
-        self.rebuild_dirty_snaps();
-    }
-
-    /// Apply one settled message against live state.
-    fn apply_msg(&mut self, m: &Msg) {
-        match m.effect {
+    /// Apply one deferred effect against live state.
+    fn apply(&mut self, effect: Effect) {
+        match effect {
             Effect::Punch { router } => {
                 let r = router as usize;
                 if self.routers[r].state.is_inactive() {
@@ -738,7 +617,6 @@ impl Network {
                 vc,
                 flit,
                 ready_at,
-                entered,
             } => {
                 let d = dst as usize;
                 self.routers[d].ports[port as usize]
@@ -746,8 +624,6 @@ impl Network {
                     .push(flit, ready_at);
                 self.routers[d].buffered_flits += 1;
                 self.routers[d].counters.flits_in[port_class(port as usize)] += 1;
-                self.in_flight += 1;
-                self.net_entry[flit.packet.0 as usize] = entered;
                 self.mark_dirty(dst);
             }
         }
@@ -764,7 +640,7 @@ impl Network {
     /// Rebuild the snapshot of every dirty router. Only routers that
     /// fired or were settle targets can have changed, so this is the
     /// complete set.
-    pub(crate) fn rebuild_dirty_snaps(&mut self) {
+    fn rebuild_dirty_snaps(&mut self) {
         while let Some(r) = self.dirty_list.pop() {
             self.dirty[r as usize] = false;
             self.rebuild_snap(r as usize);
@@ -772,7 +648,7 @@ impl Network {
     }
 
     /// Recompute router `r`'s settled snapshot from its live state.
-    pub(crate) fn rebuild_snap(&mut self, r: usize) {
+    fn rebuild_snap(&mut self, r: usize) {
         let router = &self.routers[r];
         self.snap_meta[r] = SnapMeta {
             operational: router.state.is_operational(),
@@ -794,7 +670,7 @@ impl Network {
 
     /// Rebuild every router's snapshot (construction, and tests that
     /// plant router state by hand).
-    pub(crate) fn refresh_all_snaps(&mut self) {
+    fn refresh_all_snaps(&mut self) {
         for r in 0..self.routers.len() {
             self.rebuild_snap(r);
         }
@@ -818,7 +694,7 @@ impl Network {
     /// Earliest live router-cycle deadline, draining stale heap tops on
     /// the way. The heap is never empty (heartbeats are perpetual), so
     /// this is finite.
-    pub(crate) fn local_next_event(&mut self) -> u64 {
+    fn local_next_event(&mut self) -> u64 {
         while let Some(&Reverse((t, idx))) = self.sched.peek() {
             if self.routers[idx as usize].next_cycle_at == t {
                 return t;
@@ -828,11 +704,10 @@ impl Network {
         u64::MAX
     }
 
-    /// Bill the residual residency of every owned router at `now`.
-    pub(crate) fn flush_residency(&mut self) {
+    /// Bill the residual residency of every router at `now`.
+    fn flush_residency(&mut self) {
         let now = SimTime::from_ticks(self.now);
-        for i in self.owned.clone() {
-            let r = &mut self.routers[i];
+        for r in &mut self.routers {
             self.ledger
                 .bill_residency(r.id, r.state, now.since(r.state_since));
             r.state_since = now;
@@ -1015,13 +890,9 @@ impl Network {
                     out_vc: None,
                 });
                 if let Some(d) = next_router {
-                    self.emit(
-                        1,
-                        i as u64,
-                        Effect::Secure {
-                            router: d.idx() as u32,
-                        },
-                    );
+                    self.outbox.push(Effect::Secure {
+                        router: d.idx() as u32,
+                    });
                 }
             }
         }
@@ -1134,8 +1005,8 @@ impl Network {
                     .expect("direction routes have a downstream router")
                     .idx();
                 // Every read of the downstream router goes through its
-                // settled snapshot: identical no matter which shard owns
-                // it or whether it fired earlier this tick. The checks
+                // settled snapshot: identical whether or not it fired
+                // earlier this tick. The checks
                 // stay *exact* at apply time because each in-port has a
                 // single upstream sender and each output port grants at
                 // most once per tick — at most one flit lands per
@@ -1170,9 +1041,8 @@ impl Network {
                 if !self.snap_has_space(d, down_port, down_vc as usize) {
                     return false;
                 }
-                // Grant: pop here, hand the flit over as a settled
-                // transfer (applied end-of-tick at the downstream
-                // router's owner).
+                // Grant: pop here, hand the flit over as a transfer
+                // applied at the end of the tick.
                 let flit = self.routers[i].ports[port].vc_mut(vc).pop();
                 let mode = match self.routers[i].state {
                     PowerState::Active(m) => m,
@@ -1192,25 +1062,15 @@ impl Network {
                     c.hops += 1;
                 }
                 self.ledger.bill_hop(self.routers[i].id, mode);
-                // The flit leaves this instance's accounting now and
-                // enters the receiver's at apply (net zero within one
-                // instance; cross-shard it migrates).
-                self.in_flight -= 1;
-                let entered = self.net_entry[flit.packet.0 as usize];
-                self.emit(
-                    1,
-                    i as u64,
-                    Effect::Transfer {
-                        dst: d as u32,
-                        port: down_port as u8,
-                        vc: down_vc,
-                        flit,
-                        ready_at: ready,
-                        entered,
-                    },
-                );
+                self.outbox.push(Effect::Transfer {
+                    dst: d as u32,
+                    port: down_port as u8,
+                    vc: down_vc,
+                    flit,
+                    ready_at: ready,
+                });
                 if flit.kind.is_tail() {
-                    self.emit(1, i as u64, Effect::Unsecure { router: d as u32 });
+                    self.outbox.push(Effect::Unsecure { router: d as u32 });
                 }
                 true
             }
@@ -1760,10 +1620,15 @@ mod tests {
     #[test]
     fn trace_core_count_must_match() {
         let t = Trace::new("small", 4, vec![packet(0, 1, PacketKind::Request, 0.0)]);
-        let net = Network::new(mesh_cfg());
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = net.run(&t, &mut AlwaysMode::new(Mode::M7));
-        }));
-        assert!(result.is_err());
+        let err = Network::new(mesh_cfg())
+            .run(&t, &mut AlwaysMode::new(Mode::M7))
+            .expect_err("a 4-core trace cannot run on the 64-core mesh");
+        assert_eq!(
+            err,
+            SimError::TraceCoreMismatch {
+                trace_cores: 4,
+                topology_cores: 64,
+            }
+        );
     }
 }

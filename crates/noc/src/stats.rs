@@ -62,9 +62,8 @@ impl RunStats {
     /// Every field is a sum, a max, or a mergeable distribution, so the
     /// merge is exact and order-independent: partitioning a run's
     /// deliveries arbitrarily and merging the partial `RunStats` yields
-    /// the whole run's stats bit-for-bit. This is the shard reducer of
-    /// the sharded engine and the aggregation primitive of campaign
-    /// summaries.
+    /// the whole run's stats bit-for-bit. This is the aggregation
+    /// primitive of campaign summaries (`dozz-repro latency`).
     pub fn merge(&mut self, other: &RunStats) {
         self.packets_injected += other.packets_injected;
         self.packets_delivered += other.packets_delivered;

@@ -209,40 +209,6 @@ impl EnergyLedger {
         self.routers[router.idx()].breakeven_violations += 1;
     }
 
-    /// Fold another ledger's per-router entries into this one,
-    /// entry by entry.
-    ///
-    /// The shard reducer of the sharded engine: each shard bills only
-    /// the routers it owns, so the ledgers being merged have *disjoint*
-    /// non-zero entries and the float sums are exact (`x + 0.0 == x`).
-    /// Merging overlapping ledgers is also well-defined (plain
-    /// field-wise accumulation) but then subject to float rounding.
-    ///
-    /// Panics when the ledgers cover different router counts.
-    pub fn merge(&mut self, other: &EnergyLedger) {
-        assert_eq!(
-            self.routers.len(),
-            other.routers.len(),
-            "cannot merge ledgers over different router counts"
-        );
-        for (a, b) in self.routers.iter_mut().zip(&other.routers) {
-            a.static_j += b.static_j;
-            a.dynamic_j += b.dynamic_j;
-            a.ml_j += b.ml_j;
-            a.transition_j += b.transition_j;
-            for (ta, tb) in a.time_active.iter_mut().zip(&b.time_active) {
-                *ta += *tb;
-            }
-            a.time_wakeup += b.time_wakeup;
-            a.time_inactive += b.time_inactive;
-            a.flit_hops += b.flit_hops;
-            a.labels += b.labels;
-            a.wakeups += b.wakeups;
-            a.gate_offs += b.gate_offs;
-            a.breakeven_violations += b.breakeven_violations;
-        }
-    }
-
     /// Per-router view.
     pub fn router(&self, router: RouterId) -> &RouterEnergy {
         &self.routers[router.idx()]
@@ -456,54 +422,6 @@ mod tests {
         assert_eq!(r.gate_offs, 1);
         assert_eq!(r.breakeven_violations, 1);
         assert_eq!(r.time_active[Mode::M7.rank()].ticks(), 3 * SEC);
-    }
-
-    #[test]
-    fn merge_of_disjoint_ledgers_equals_whole() {
-        // Bill a 4-router network once through a single ledger and once
-        // through two ledgers split by router ownership; the merge must
-        // reassemble the whole exactly (disjoint entries ⇒ no rounding).
-        let mut whole = EnergyLedger::new(4);
-        let mut left = EnergyLedger::new(4);
-        let mut right = EnergyLedger::new(4);
-        let oh = MlOverhead::for_features(5);
-        for i in 0..4u16 {
-            let part = if i < 2 { &mut left } else { &mut right };
-            for l in [&mut whole, part] {
-                l.bill_residency(
-                    RouterId(i),
-                    PowerState::Active(Mode::M5),
-                    TickDelta::from_ticks(SEC / (i as u64 + 1)),
-                );
-                l.bill_residency(
-                    RouterId(i),
-                    PowerState::Inactive,
-                    TickDelta::from_ticks(100 + i as u64),
-                );
-                for _ in 0..=i {
-                    l.bill_hop(RouterId(i), Mode::M6);
-                }
-                l.bill_label(RouterId(i), &oh);
-                l.bill_transition(RouterId(i), 1e-9 * (i as f64 + 1.0));
-                l.note_wakeup(RouterId(i));
-                l.note_gate_off(RouterId(i));
-            }
-        }
-        let mut merged = left;
-        merged.merge(&right);
-        for i in 0..4u16 {
-            assert_eq!(merged.router(RouterId(i)), whole.router(RouterId(i)));
-        }
-        // The aggregate report (f64 sums in router-index order) matches
-        // bit-for-bit too.
-        assert_eq!(merged.report(), whole.report());
-    }
-
-    #[test]
-    #[should_panic(expected = "different router counts")]
-    fn merge_size_mismatch_panics() {
-        let mut a = EnergyLedger::new(2);
-        a.merge(&EnergyLedger::new(3));
     }
 
     #[test]

@@ -28,6 +28,7 @@ impl Direction {
     /// The opposite direction (the input port a flit sent this way arrives
     /// on at the neighbour).
     #[inline]
+    #[must_use]
     pub const fn opposite(self) -> Direction {
         match self {
             Direction::North => Direction::South,

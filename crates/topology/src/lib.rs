@@ -15,9 +15,7 @@
 pub mod direction;
 pub mod grid;
 pub mod routing;
-pub mod shard;
 
 pub use direction::{Direction, Port, DIR_PORTS};
 pub use grid::{Coord, Topology, TopologyKind};
 pub use routing::{DimOrder, XyRouter};
-pub use shard::ShardPlan;

@@ -61,6 +61,7 @@ impl Trace {
     /// Time-compress the trace by an integer `factor`: every injection
     /// time is divided by it, multiplying the offered load. This is the
     /// "compressed traces" configuration of Fig. 8(b).
+    #[must_use]
     pub fn compress(&self, factor: u64) -> Trace {
         assert!(factor >= 1, "compression factor must be ≥ 1");
         self.rescale(1, factor)
@@ -70,6 +71,7 @@ impl Trace {
     /// load by `den/num` (e.g. `rescale(2, 3)` compresses time to ⅔,
     /// raising load 1.5×). Fractional compression lets the harness place
     /// "compressed" runs near — not hopelessly past — saturation.
+    #[must_use]
     pub fn rescale(&self, num: u64, den: u64) -> Trace {
         assert!(num >= 1 && den >= 1, "rescale needs positive ratio");
         if num == den {

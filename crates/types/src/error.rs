@@ -45,11 +45,9 @@ pub enum ConfigError {
         /// The rejected pipeline depth.
         pipeline_cycles: u64,
     },
-    /// Link latency (conservative-sharding lookahead) of zero: a flit
-    /// must spend at least one base tick on the wire, and the sharded
-    /// engine's time-window barrier derives its safety window from this
-    /// latency — zero lookahead would let a flit cross two routers in
-    /// one tick and collapses the barrier window to nothing.
+    /// Link latency of zero: a flit must spend at least one base tick
+    /// on the wire — zero lookahead would let a flit cross two routers
+    /// in one tick.
     ZeroLookahead,
 }
 
@@ -74,7 +72,7 @@ impl core::fmt::Display for ConfigError {
             ConfigError::ZeroLookahead => write!(
                 f,
                 "link lookahead must be at least 1 base tick (zero would let a flit \
-                 cross two routers in one tick and breaks the shard barrier window)"
+                 cross two routers in one tick)"
             ),
         }
     }

@@ -127,12 +127,14 @@ impl Mode {
 
     /// Next mode up, saturating at M7.
     #[inline]
+    #[must_use]
     pub fn step_up(self) -> Mode {
         Mode::from_rank((self.rank() + 1).min(4)).expect("saturated rank 0–4 is always a mode")
     }
 
     /// Next mode down, saturating at M3.
     #[inline]
+    #[must_use]
     pub fn step_down(self) -> Mode {
         Mode::from_rank(self.rank().saturating_sub(1)).expect("saturated rank 0–4 is always a mode")
     }

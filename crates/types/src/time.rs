@@ -165,6 +165,7 @@ impl SimTime {
     /// The saturated value pins the clock at the end of representable
     /// time, which the schedule loop treats as "past `max_ticks`".
     #[inline]
+    #[must_use]
     pub fn after(self, delta: TickDelta) -> SimTime {
         debug_assert!(
             self.0.checked_add(delta.0).is_some(),
@@ -223,6 +224,7 @@ impl TickDelta {
 
     /// Saturating subtraction of two spans.
     #[inline]
+    #[must_use]
     pub fn saturating_sub(self, other: TickDelta) -> TickDelta {
         TickDelta(self.0.saturating_sub(other.0))
     }

@@ -1,8 +1,8 @@
-//! Pass 8 — `determinism-taint` (deny).
+//! Pass 3 — `determinism-taint` (deny).
 //!
 //! The engine's contract — goldens in `tests/determinism.rs`, the run
-//! cache's content addressing, ROADMAP item 1's bit-identical sharding
-//! — all assume a simulation's output is a pure function of its config.
+//! cache's content addressing, jobs-independent campaign results —
+//! all assume a simulation's output is a pure function of its config.
 //! This pass walks the workspace call graph from the engine roots
 //! (`Network::run`, `run_model`, `Campaign::run_cells`) and denies any
 //! reachable function that touches a nondeterminism source:

@@ -4,40 +4,27 @@
 //! runs typed semantic passes over the item/token trees. Where
 //! `cargo xtask lint`'s string scans see characters, these passes see
 //! structure: token adjacency, function signatures, attributes, and an
-//! intra-crate call graph. Ten passes ship (see the submodules):
+//! intra-crate call graph. Four passes ship, each encoding domain
+//! knowledge rustc and clippy lack (see the submodules):
 //!
 //! | rule               | severity       | what it catches                         |
 //! |--------------------|----------------|-----------------------------------------|
 //! | `unit-consistency` | deny           | raw-u64 escapes from sealed time types  |
 //! | `panic-reachability` | deny/advisory | panics reachable from the sim hot path |
-//! | `atomic-ordering`  | deny           | undocumented `Ordering::Relaxed`        |
-//! | `must-use-builder` | warn           | builder fns missing `#[must_use]`       |
-//! | `float-compare`    | warn           | `==`/`!=` on floats in report code      |
-//! | `thread-escape`    | deny           | risky captures crossing spawn points    |
-//! | `lock-discipline`  | deny           | lock-order cycles, incoherent atomics   |
 //! | `determinism-taint`| deny           | clocks/env/hash-order in the engine     |
 //! | `unit-flow`        | deny           | tick/cycle mixing across call sites     |
-//! | `sync-facade`      | deny           | raw `std::sync`/`std::thread` outside the facade |
 //!
-//! The last four run on the expression-level AST (`syn::parse_block`)
-//! and the workspace call graph (`callgraph`) — they gate the upcoming
-//! sharded engine (ROADMAP item 1, DESIGN.md §9 pre-sharding
-//! checklist).
+//! The last two run on the expression-level AST (`syn::parse_block`)
+//! and the workspace call graph (`callgraph`).
 //!
 //! Findings flow through the shared diagnostics engine (`crate::diag`):
 //! `// xtask-analyze: allow(<rule>) — <why>` suppressions, the
 //! checked-in baseline (`crates/xtask/analyze-baseline.json`), and the
 //! deny/warn exit gate.
 
-pub mod atomics;
 pub mod callgraph;
 pub mod determinism;
-pub mod escape;
-pub mod float_cmp;
-pub mod locks;
-pub mod must_use;
 pub mod panic_reach;
-pub mod sync_facade;
 pub mod unit_consistency;
 pub mod unit_flow;
 
@@ -50,18 +37,12 @@ use syn::{Delim, Item, ItemFn, Tok, Token};
 use crate::diag::{apply_suppressions, Baseline, Diagnostic, Report, Severity};
 
 /// Rule IDs the analyzer can emit; suppression markers must name one.
-pub const ANALYZE_RULES: [&str; 12] = [
+pub const ANALYZE_RULES: [&str; 6] = [
     "parse-error",
     "unit-consistency",
     "panic-reachability",
-    "atomic-ordering",
-    "must-use-builder",
-    "float-compare",
-    "thread-escape",
-    "lock-discipline",
     "determinism-taint",
     "unit-flow",
-    "sync-facade",
     "suppression-hygiene",
 ];
 
@@ -154,14 +135,8 @@ pub fn passes() -> Vec<Box<dyn Pass>> {
     vec![
         Box::new(unit_consistency::UnitConsistency),
         Box::new(panic_reach::PanicReachability),
-        Box::new(atomics::AtomicOrdering),
-        Box::new(must_use::MustUseBuilders),
-        Box::new(float_cmp::FloatCompare),
-        Box::new(escape::ThreadEscape),
-        Box::new(locks::LockDiscipline),
         Box::new(determinism::DeterminismTaint),
         Box::new(unit_flow::UnitFlow),
-        Box::new(sync_facade::SyncFacade),
     ]
 }
 
@@ -276,7 +251,7 @@ pub fn mentions_ident(tokens: &[Token], names: &[&str]) -> bool {
 
 /// Identifiers bound with a type matching `matches_ty` inside a
 /// function: typed parameters plus `let [mut] name: Ty` bindings at any
-/// nesting depth. Used by the unit-consistency and float-compare passes
+/// nesting depth. Used by the unit-consistency and unit-flow passes
 /// for lightweight local type tracking.
 pub fn typed_idents(func: &ItemFn, matches_ty: &dyn Fn(&[Token]) -> bool) -> BTreeSet<String> {
     let mut set = BTreeSet::new();

@@ -9,10 +9,10 @@
 //! - `run_model` in `crates/core` (the per-benchmark driver), and
 //! - `PolicyRegistry::build` in `crates/core` (every registered policy
 //!   factory — builders run inside campaign workers, so a panicking
-//!   factory aborts a whole shard exactly like a panicking simulator).
+//!   factory aborts a whole campaign exactly like a panicking simulator).
 //!
 //! In every reachable function body, `panic!` and `.unwrap()` are denied
-//! (a panic mid-run aborts a whole campaign shard), while `.expect(..)`
+//! (a panic mid-run aborts the whole campaign), while `.expect(..)`
 //! and slice indexing are reported as advisories — both are allowed when
 //! they name or embody a structural invariant, but new ones deserve
 //! eyes. This pass supersedes the old string scan over the two hot-path
@@ -151,7 +151,7 @@ fn scan_reachable_body(body: &[Token], n: &Node<'_>, root: &str, out: &mut Vec<D
                             Severity::Deny,
                             format!(
                                 "`.{id}()` in `{}` (reachable from `{root}`) — a panic here \
-                                 aborts the whole campaign shard; name the invariant with \
+                                 aborts the whole campaign; name the invariant with \
                                  `.expect(..)` or handle the None/Err arm",
                                 n.qual
                             ),

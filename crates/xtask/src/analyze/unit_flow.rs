@@ -1,4 +1,4 @@
-//! Pass 9 — `unit-flow` (deny).
+//! Pass 4 — `unit-flow` (deny).
 //!
 //! The unit-consistency pass (PR 5) checks tick/cycle hygiene *inside*
 //! one expression; this pass propagates unit facts *across* function

@@ -16,8 +16,7 @@
 //! - **Gate**: `deny` and `warn` findings fail the build; `advisory`
 //!   findings are informational only.
 //! - **Rendering**: one human format and one JSON report format shared
-//!   by both subcommands (CI uploads the JSON next to the bench
-//!   artifacts).
+//!   by both subcommands (CI uploads the JSON report as an artifact).
 
 use std::fmt;
 use std::fs;
@@ -49,39 +48,13 @@ pub struct Exemption {
 /// Every standing file-scoped exemption in the workspace. Keep this
 /// list short: each entry is a module whose *design* justifies the
 /// waiver, not a grandfathered finding (those belong in the baseline).
-pub const EXEMPTIONS: [Exemption; 6] = [
+pub const EXEMPTIONS: [Exemption; 2] = [
     Exemption {
         rule: "thread-spawn",
-        file: "crates/sync/src/model.rs",
-        why: "the dozz_sync facade is where every workspace thread is actually \
-              created: its scope/spawn wrappers register each thread with the \
-              model-check runtime before delegating to std",
-    },
-    Exemption {
-        rule: "thread-spawn",
-        file: "crates/modelcheck/src/explore.rs",
-        why: "the DFS explorer runs each execution's root body on a fresh OS \
-              thread below the facade; routing it through dozz_sync would make \
-              the checker schedule itself",
-    },
-    Exemption {
-        rule: "sync-facade",
-        file: "crates/modelcheck/src/runtime.rs",
-        why: "the model runtime is the instrumentation layer the facade calls \
-              into; its state mutex/condvar must be real std primitives or \
-              every facade operation would recurse",
-    },
-    Exemption {
-        rule: "sync-facade",
-        file: "crates/modelcheck/src/explore.rs",
-        why: "the explorer's runtime slot and serialization lock sit below the \
-              facade for the same reason as the runtime itself",
-    },
-    Exemption {
-        rule: "atomic-ordering",
         file: "crates/core/src/schedule.rs",
-        why: "the injector cursor is a pure monotonic ticket; the module documents why \
-              relaxed ordering is sufficient (lock-discipline still pair-checks it)",
+        why: "the cell scheduler is the workspace's one fan-out point: run_indexed \
+              spawns its scoped workers here, and tests/stress_schedule.rs plus the \
+              nightly ThreadSanitizer job cover it",
     },
     Exemption {
         rule: "determinism-taint",
@@ -448,12 +421,12 @@ mod tests {
     #[test]
     fn suppression_parses_rule_and_justification() {
         let src = "let x = 1; // xtask-analyze: allow(unit-consistency) — raw tick seed\n\
-                   // xtask-analyze: allow(float-compare)\n";
+                   // xtask-analyze: allow(unit-flow)\n";
         let s = suppressions(src);
         assert_eq!(s.len(), 2);
         assert_eq!(s[0].rule, "unit-consistency");
         assert!(s[0].justified);
-        assert_eq!(s[1].rule, "float-compare");
+        assert_eq!(s[1].rule, "unit-flow");
         assert!(!s[1].justified);
     }
 
@@ -490,13 +463,13 @@ mod tests {
 
     #[test]
     fn marker_for_wrong_rule_does_not_suppress() {
-        let src = "// xtask-analyze: allow(float-compare) — wrong rule\nlet x = t.0;\n";
+        let src = "// xtask-analyze: allow(unit-flow) — wrong rule\nlet x = t.0;\n";
         let findings = vec![diag("unit-consistency", "a.rs", 2, "raw field access")];
         let mut report = Report::default();
         let kept = apply_suppressions(
             findings,
             &|f| (f == "a.rs").then(|| src.to_string()),
-            &["unit-consistency", "float-compare"],
+            &["unit-consistency", "unit-flow"],
             &mut report,
         );
         assert_eq!(kept.len(), 1);
@@ -523,7 +496,7 @@ mod tests {
     fn baseline_round_trip_and_consumption() {
         let findings = vec![
             diag("unit-consistency", "a.rs", 5, "m1"),
-            diag("float-compare", "b.rs", 9, "m2"),
+            diag("unit-flow", "b.rs", 9, "m2"),
         ];
         let text = Baseline::render(&findings);
         let dir = std::env::temp_dir().join("xtask-baseline-test");
@@ -538,7 +511,7 @@ mod tests {
         let incoming = vec![
             diag("unit-consistency", "a.rs", 5, "m1"),
             diag("unit-consistency", "a.rs", 7, "m1"),
-            diag("float-compare", "b.rs", 9, "m2"),
+            diag("unit-flow", "b.rs", 9, "m2"),
         ];
         let kept = bl.filter(incoming, &mut report);
         assert_eq!(report.baselined, 2);
@@ -562,51 +535,23 @@ mod tests {
         assert!(!r.failed());
         r.findings.push(Diagnostic {
             severity: Severity::Warn,
-            ..diag("must-use-builder", "a.rs", 2, "y")
+            ..diag("unit-flow", "a.rs", 2, "y")
         });
         assert!(r.failed());
     }
 
     #[test]
     fn lint_and_analyze_exemptions_agree() {
-        // Exactly two modules may create raw OS threads: the facade's
-        // own scope/spawn wrappers and the model-check explorer that
-        // sits below them. The scheduler and the sharded engine lost
-        // their waivers when they migrated onto `dozz_sync` — their
-        // facade-qualified spawns are recognized by the scan itself,
-        // so a raw `std::thread::spawn` creeping back into either
-        // module now FAILS instead of riding the old exemption.
+        // Exactly one module may create OS threads: the cell scheduler.
+        // The engine itself is sequential, so a spawn creeping into the
+        // simulator FAILS instead of riding a waiver.
         let spawn: Vec<_> = exempt_files("thread-spawn").collect();
-        assert_eq!(
-            spawn,
-            vec![
-                "crates/sync/src/model.rs",
-                "crates/modelcheck/src/explore.rs"
-            ]
-        );
-        assert!(!is_exempt("thread-spawn", "crates/core/src/schedule.rs"));
-        assert!(!is_exempt("thread-spawn", "crates/noc/src/shard.rs"));
-
-        // The analyze-side coverage gate exempts only the model-check
-        // internals that *implement* the instrumentation.
-        let facade: Vec<_> = exempt_files("sync-facade").collect();
-        assert_eq!(
-            facade,
-            vec![
-                "crates/modelcheck/src/runtime.rs",
-                "crates/modelcheck/src/explore.rs"
-            ]
-        );
-        assert!(!is_exempt("sync-facade", "crates/noc/src/shard.rs"));
-
-        // The scheduler keeps its relaxed-ordering waiver; the sharded
-        // engine's barrier must stay Acquire/Release, so it
-        // deliberately has NO atomic-ordering entry and the analyze
-        // pass still patrols it.
-        let atomics: Vec<_> = exempt_files("atomic-ordering").collect();
-        assert_eq!(atomics, vec!["crates/core/src/schedule.rs"]);
-        assert!(!is_exempt("atomic-ordering", "crates/noc/src/shard.rs"));
+        assert_eq!(spawn, vec!["crates/core/src/schedule.rs"]);
         assert!(!is_exempt("thread-spawn", "crates/noc/src/network.rs"));
+
+        // The analyze side waives clocks only in the measurement region.
+        let taint: Vec<_> = exempt_files("determinism-taint").collect();
+        assert_eq!(taint, vec!["crates/core/src/measure.rs"]);
     }
 
     #[test]

@@ -10,18 +10,12 @@
 //!   tick narrowing, thread spawns, RunStats coverage) used by
 //!   `cargo xtask lint`.
 //! - [`analyze`] — the AST path: the vendored-`syn` workspace loader
-//!   and the five semantic passes used by `cargo xtask analyze`.
-//! - [`bench`] — the perf yardstick: the `cargo xtask bench` regime
-//!   matrix, its frozen JSON schema, and the `--compare` regression
-//!   gate. Engine work runs in `dozz-repro bench-cell` subprocesses so
-//!   xtask itself stays near-dependency-free.
+//!   and the four semantic passes used by `cargo xtask analyze`.
 //!
 //! The split into a library exists so the fixture tests
-//! (`tests/analyze.rs`, `tests/bench_gate.rs`) can run the passes and
-//! the gate against in-memory inputs without shelling out to the
-//! binary.
+//! (`tests/analyze.rs`, `tests/analyze_dataflow.rs`) can run the passes
+//! against in-memory inputs without shelling out to the binary.
 
 pub mod analyze;
-pub mod bench;
 pub mod diag;
 pub mod scans;

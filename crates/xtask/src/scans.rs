@@ -14,10 +14,10 @@
 //! - `tick-narrowing` — no narrowing casts of `.ticks()` anywhere (a
 //!   u64 tick count squeezed into `u32` truncates after ~4 simulated
 //!   seconds at 18 GHz),
-//! - `thread-spawn` — threads are created only through the `dozz_sync`
-//!   facade (which registers them with the model-check runtime), so the
-//!   determinism suite and `cargo xtask model-check` vouch for every
-//!   parallel caller at once,
+//! - `thread-spawn` — threads are created only by the cell scheduler
+//!   (`crates/core/src/schedule.rs`, waived in [`crate::diag::EXEMPTIONS`]),
+//!   so the determinism suite and the schedule stress test vouch for
+//!   every parallel caller at once,
 //! - `stats-coverage` — every public `RunStats` counter is referenced
 //!   by at least one integration test.
 //!
@@ -39,19 +39,12 @@ pub const LOSSY_CAST_ALLOW: &str = "xtask-lint: allow(lossy-cast)";
 /// thread-spawn scan.
 pub const THREAD_SPAWN_ALLOW: &str = "xtask-lint: allow(thread-spawn)";
 
-/// The work-stealing cell scheduler — the conventional fan-out path the
-/// spawn scan's message points callers at. The scheduler itself spawns
-/// through the `dozz_sync` facade (which the scan recognizes by
-/// qualification), so it no longer carries a waiver; the remaining
-/// raw-spawn waivers live in the shared exemption table
+/// The work-stealing cell scheduler — the one module that spawns
+/// threads, and the fan-out path the spawn scan's message points
+/// callers at. Its waiver lives in the shared exemption table
 /// ([`crate::diag::EXEMPTIONS`]) so this scan and the analyze passes
 /// cannot disagree.
 pub const SCHEDULER_MODULE: &str = "crates/core/src/schedule.rs";
-
-/// Facade qualification: a spawn form preceded by this prefix goes
-/// through `dozz_sync`, which registers the thread with the model-check
-/// runtime — that is the governed path, not an escape from it.
-pub const FACADE_QUALIFIER: &str = "dozz_sync::";
 
 /// Thread-creation forms the spawn scan rejects outside the scheduler.
 const THREAD_SPAWN_FORMS: [&str; 3] = ["thread::spawn", "thread::scope", "thread::Builder"];
@@ -276,14 +269,11 @@ pub fn scan_tick_narrowing(file: &str, src: &str) -> Vec<Diagnostic> {
     findings
 }
 
-/// `thread-spawn`: raw `thread::spawn`, `thread::scope` or
-/// `thread::Builder` bypasses both the injector/indexed-slot machinery
-/// that keeps parallel campaign runs bit-identical to sequential ones
-/// AND the model-check runtime's thread registration. Spawns qualified
-/// with [`FACADE_QUALIFIER`] (`dozz_sync::thread::scope(..)`) are the
-/// governed path and pass; anything else must route through
-/// `dozznoc_core::schedule::run_indexed` / the facade, or carry the
-/// allow marker (same line or the line directly above).
+/// `thread-spawn`: `thread::spawn`, `thread::scope` or `thread::Builder`
+/// bypasses the injector/indexed-slot machinery that keeps parallel
+/// campaign runs bit-identical to sequential ones. Fan work out through
+/// `dozznoc_core::schedule::run_indexed`, or carry the allow marker
+/// (same line or the line directly above).
 pub fn scan_thread_spawns(file: &str, src: &str) -> Vec<Diagnostic> {
     let mut findings = Vec::new();
     let mut prev_allows = false;
@@ -296,18 +286,15 @@ pub fn scan_thread_spawns(file: &str, src: &str) -> Vec<Diagnostic> {
                 while let Some(i) = code[from..].find(form) {
                     let at = from + i;
                     from = at + form.len();
-                    if code[..at].ends_with(FACADE_QUALIFIER) {
-                        continue;
-                    }
                     findings.push(deny(
                         "thread-spawn",
                         file,
                         idx + 1,
                         format!(
-                            "raw `{form}` — spawn through `{FACADE_QUALIFIER}thread` (and \
-                             fan work out via dozznoc_core::schedule::run_indexed in \
-                             {SCHEDULER_MODULE}) so model-check and the determinism tests \
-                             cover it, or mark with `{THREAD_SPAWN_ALLOW}`"
+                            "raw `{form}` — fan work out via \
+                             dozznoc_core::schedule::run_indexed in {SCHEDULER_MODULE} so \
+                             the determinism tests cover it, or mark with \
+                             `{THREAD_SPAWN_ALLOW}`"
                         ),
                     ));
                 }
@@ -453,37 +440,17 @@ mod tests {
         assert!(scan_thread_spawns("x.rs", src).is_empty());
     }
 
-    /// Facade-qualified spawns are the governed path: they pass without
-    /// any exemption, while the same form unqualified is flagged.
-    #[test]
-    fn facade_qualified_spawn_passes_raw_spawn_fails() {
-        let facade = "dozz_sync::thread::scope(|s| { s.spawn(|| work()); });\n";
-        assert!(scan_thread_spawns("x.rs", facade).is_empty());
-        let raw = "std::thread::scope(|s| { s.spawn(|| work()); });\n";
-        let found = scan_thread_spawns("x.rs", raw);
-        assert_eq!(found.len(), 1);
-        assert!(found[0].message.contains("dozz_sync"));
-    }
-
-    /// The scheduler module spawns only through the facade now — no
-    /// path exemption backs it, so a raw spawn creeping in is caught.
+    /// The scheduler really spawns (so its waiver is load-bearing), and
+    /// the tree scan honours the waiver.
     #[test]
     fn scheduler_module_spawns_but_tree_scan_is_clean() {
         let root = workspace_root();
         let src = read(&root, SCHEDULER_MODULE);
         assert!(
-            src.contains("dozz_sync::thread::scope"),
-            "schedule.rs is expected to fan out through the facade"
+            !scan_thread_spawns(SCHEDULER_MODULE, &src).is_empty(),
+            "schedule.rs is expected to fan out through std::thread::scope"
         );
-        assert!(
-            scan_thread_spawns(SCHEDULER_MODULE, &src).is_empty(),
-            "facade-qualified spawns need no exemption"
-        );
-        assert!(
-            !crate::diag::is_exempt("thread-spawn", SCHEDULER_MODULE),
-            "the old path exemption must stay dead — a raw spawn in the \
-             scheduler now fails the scan"
-        );
+        assert!(crate::diag::is_exempt("thread-spawn", SCHEDULER_MODULE));
         // repo_sources_are_clean covers the whole tree end-to-end.
     }
 

@@ -118,193 +118,6 @@ fn panic_reachability_suppression_silences_the_unwrap() {
     assert_eq!(r.suppressed, 1);
 }
 
-// --- atomic-ordering ------------------------------------------------------
-
-#[test]
-fn atomic_ordering_fires_outside_the_scheduler() {
-    let ws = ws_one(
-        "core",
-        "crates/core/src/fixture.rs",
-        include_str!("fixtures/atomics_fire.rs"),
-    );
-    let r = analyze(&ws);
-    assert_eq!(gating(&r, "atomic-ordering").len(), 1, "{:?}", r.findings);
-}
-
-#[test]
-fn atomic_ordering_suppression_silences_it() {
-    let ws = ws_one(
-        "core",
-        "crates/core/src/fixture.rs",
-        include_str!("fixtures/atomics_suppressed.rs"),
-    );
-    let r = analyze(&ws);
-    assert!(gating(&r, "atomic-ordering").is_empty(), "{:?}", r.findings);
-    assert_eq!(r.suppressed, 1);
-}
-
-#[test]
-fn atomic_ordering_exempts_the_scheduler_module() {
-    let ws = ws_one(
-        "core",
-        "crates/core/src/schedule.rs",
-        include_str!("fixtures/atomics_fire.rs"),
-    );
-    let r = analyze(&ws);
-    assert!(gating(&r, "atomic-ordering").is_empty(), "{:?}", r.findings);
-}
-
-// --- must-use-builder -----------------------------------------------------
-
-#[test]
-fn must_use_builder_fires_on_the_unmarked_builder_only() {
-    let ws = ws_one(
-        "noc",
-        "crates/noc/src/fixture.rs",
-        include_str!("fixtures/must_use_fire.rs"),
-    );
-    let r = analyze(&ws);
-    let hits = gating(&r, "must-use-builder");
-    assert_eq!(hits.len(), 1, "findings: {:?}", r.findings);
-    assert!(hits[0].message.contains("Cfg::try_with_x"));
-}
-
-#[test]
-fn must_use_builder_suppression_silences_it() {
-    let ws = ws_one(
-        "noc",
-        "crates/noc/src/fixture.rs",
-        include_str!("fixtures/must_use_suppressed.rs"),
-    );
-    let r = analyze(&ws);
-    assert!(
-        gating(&r, "must-use-builder").is_empty(),
-        "{:?}",
-        r.findings
-    );
-    assert_eq!(r.suppressed, 1);
-}
-
-// --- float-compare --------------------------------------------------------
-
-#[test]
-fn float_compare_fires_in_report_scope() {
-    let ws = ws_one(
-        "experiments",
-        "crates/experiments/src/fixture.rs",
-        include_str!("fixtures/float_fire.rs"),
-    );
-    let r = analyze(&ws);
-    assert_eq!(gating(&r, "float-compare").len(), 1, "{:?}", r.findings);
-}
-
-#[test]
-fn float_compare_suppression_silences_it() {
-    let ws = ws_one(
-        "experiments",
-        "crates/experiments/src/fixture.rs",
-        include_str!("fixtures/float_suppressed.rs"),
-    );
-    let r = analyze(&ws);
-    assert!(gating(&r, "float-compare").is_empty(), "{:?}", r.findings);
-    assert_eq!(r.suppressed, 1);
-}
-
-#[test]
-fn float_compare_is_scoped_to_report_code() {
-    let ws = ws_one(
-        "noc",
-        "crates/noc/src/fixture.rs",
-        include_str!("fixtures/float_fire.rs"),
-    );
-    let r = analyze(&ws);
-    assert!(gating(&r, "float-compare").is_empty(), "{:?}", r.findings);
-}
-
-// --- sync-facade ----------------------------------------------------------
-
-#[test]
-fn sync_facade_fires_on_each_raw_primitive_class() {
-    let ws = ws_one(
-        "noc",
-        "crates/noc/src/fixture.rs",
-        include_str!("fixtures/sync_facade_fire.rs"),
-    );
-    let r = analyze(&ws);
-    let hits = gating(&r, "sync-facade");
-    assert_eq!(hits.len(), 6, "findings: {:?}", r.findings);
-    assert!(hits.iter().any(|d| d.message.contains("`std::sync`")));
-    assert!(hits.iter().any(|d| d.message.contains("`std::thread`")));
-    assert!(hits
-        .iter()
-        .any(|d| d.message.contains("`std::hint::spin_loop`")));
-    // The host observers at the bottom of the fixture must NOT fire.
-    assert!(hits.iter().all(|d| d.line < 17), "findings: {hits:?}");
-}
-
-#[test]
-fn sync_facade_suppressions_silence_each_class() {
-    let ws = ws_one(
-        "noc",
-        "crates/noc/src/fixture.rs",
-        include_str!("fixtures/sync_facade_suppressed.rs"),
-    );
-    let r = analyze(&ws);
-    assert!(gating(&r, "sync-facade").is_empty(), "{:?}", r.findings);
-    assert_eq!(r.suppressed, 3);
-}
-
-#[test]
-fn sync_facade_exempts_the_facade_crate_itself() {
-    let ws = ws_one(
-        "sync",
-        "crates/sync/src/fixture.rs",
-        include_str!("fixtures/sync_facade_fire.rs"),
-    );
-    let r = analyze(&ws);
-    assert!(gating(&r, "sync-facade").is_empty(), "{:?}", r.findings);
-}
-
-#[test]
-fn sync_facade_honors_the_shared_exemption_table() {
-    // The model-check runtime implements the instrumentation below the
-    // facade; its path-scoped waiver comes from diag::EXEMPTIONS, not
-    // from per-line markers.
-    let ws = ws_one(
-        "modelcheck",
-        "crates/modelcheck/src/runtime.rs",
-        include_str!("fixtures/sync_facade_fire.rs"),
-    );
-    let r = analyze(&ws);
-    assert!(gating(&r, "sync-facade").is_empty(), "{:?}", r.findings);
-}
-
-/// The lint-side raw-spawn waivers and the analyze-side facade waivers
-/// describe the same layer ("below the facade") and must not drift: any
-/// file lint allows to spawn raw OS threads must either BE the facade
-/// crate (which the sync-facade pass skips wholesale) or carry its own
-/// sync-facade waiver. A thread-spawn exemption added without the
-/// matching analyze-side story fails here.
-#[test]
-fn thread_spawn_waivers_cannot_outrun_the_facade_pass() {
-    for file in xtask::diag::exempt_files("thread-spawn") {
-        assert!(
-            file.starts_with("crates/sync/") || xtask::diag::is_exempt("sync-facade", file),
-            "{file} may spawn raw threads per diag::EXEMPTIONS but the \
-             sync-facade pass would still deny its std primitives — the \
-             two tables drifted"
-        );
-    }
-    // And the facade waivers stay confined to the checker internals.
-    for file in xtask::diag::exempt_files("sync-facade") {
-        assert!(
-            file.starts_with("crates/modelcheck/src/"),
-            "sync-facade waiver for {file} — only the model-check \
-             runtime layer may sit below the facade"
-        );
-    }
-}
-
 // --- engine behaviour -----------------------------------------------------
 
 #[test]
@@ -317,9 +130,9 @@ fn unparseable_source_is_a_deny_finding() {
 #[test]
 fn baseline_absorbs_a_grandfathered_finding() {
     let ws = ws_one(
-        "experiments",
-        "crates/experiments/src/fixture.rs",
-        include_str!("fixtures/float_fire.rs"),
+        "noc",
+        "crates/noc/src/fixture.rs",
+        include_str!("fixtures/panic_fire.rs"),
     );
     // First run records the finding; the rendered baseline must absorb
     // it on the second run.

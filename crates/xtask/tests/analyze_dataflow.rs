@@ -1,10 +1,9 @@
-//! Acceptance tests for the dataflow passes (`thread-escape`,
-//! `lock-discipline`, `determinism-taint`, `unit-flow`): each is proven
-//! to fire on a fixture crate and to be silenced by justified
-//! suppressions, the exemption table is proven to carve out the
-//! measurement region, the JSON pipeline is proven deterministic, and —
-//! the headline self-test — an `Instant::now` seeded into the real
-//! tree's engine region is caught.
+//! Acceptance tests for the dataflow passes (`determinism-taint`,
+//! `unit-flow`): each is proven to fire on a fixture crate and to be
+//! silenced by justified suppressions, the exemption table is proven to
+//! carve out the measurement region, the JSON pipeline is proven
+//! deterministic, and — the headline self-test — an `Instant::now`
+//! seeded into the real tree's engine region is caught.
 
 use xtask::analyze::{self, Workspace};
 use xtask::diag::{Baseline, Report, Severity};
@@ -25,76 +24,6 @@ fn gating<'a>(r: &'a Report, rule: &str) -> Vec<&'a xtask::diag::Diagnostic> {
         .iter()
         .filter(|d| d.rule == rule && matches!(d.severity, Severity::Deny | Severity::Warn))
         .collect()
-}
-
-// --- thread-escape ---------------------------------------------------------
-
-#[test]
-fn thread_escape_fires_on_refcell_and_mut_ref_captures() {
-    let ws = ws_one(
-        "core",
-        "crates/core/src/fixture.rs",
-        include_str!("fixtures/escape_fire.rs"),
-    );
-    let r = analyze(&ws);
-    let hits = gating(&r, "thread-escape");
-    assert_eq!(hits.len(), 2, "findings: {:?}", r.findings);
-    assert!(hits
-        .iter()
-        .any(|d| d.message.contains("`scratch`") && d.message.contains("RefCell")));
-    assert!(hits
-        .iter()
-        .any(|d| d.message.contains("`acc`") && d.message.contains("&mut")));
-}
-
-#[test]
-fn thread_escape_suppressions_silence_both_captures() {
-    let ws = ws_one(
-        "core",
-        "crates/core/src/fixture.rs",
-        include_str!("fixtures/escape_suppressed.rs"),
-    );
-    let r = analyze(&ws);
-    assert!(gating(&r, "thread-escape").is_empty(), "{:?}", r.findings);
-    assert_eq!(r.suppressed, 2);
-}
-
-// --- lock-discipline -------------------------------------------------------
-
-#[test]
-fn lock_discipline_fires_on_cycle_and_incoherent_atomic() {
-    // Loaded under the scheduler's own path: the shared exemption table
-    // waives atomic-ordering there, yet lock-discipline still audits —
-    // the counters are checked, not blanket-exempted.
-    let ws = ws_one(
-        "core",
-        "crates/core/src/schedule.rs",
-        include_str!("fixtures/locks_fire.rs"),
-    );
-    let r = analyze(&ws);
-    assert!(
-        gating(&r, "atomic-ordering").is_empty(),
-        "exemption table must waive Relaxed-is-suspect here: {:?}",
-        r.findings
-    );
-    let hits = gating(&r, "lock-discipline");
-    assert_eq!(hits.len(), 2, "findings: {:?}", r.findings);
-    assert!(hits.iter().any(|d| d.message.contains("lock-order cycle")));
-    assert!(hits
-        .iter()
-        .any(|d| d.message.contains("`ready`") && d.message.contains("Release")));
-}
-
-#[test]
-fn lock_discipline_suppressions_silence_both_checks() {
-    let ws = ws_one(
-        "core",
-        "crates/core/src/schedule.rs",
-        include_str!("fixtures/locks_suppressed.rs"),
-    );
-    let r = analyze(&ws);
-    assert!(gating(&r, "lock-discipline").is_empty(), "{:?}", r.findings);
-    assert_eq!(r.suppressed, 2);
 }
 
 // --- determinism-taint -----------------------------------------------------

@@ -116,7 +116,6 @@ fn engine_results_are_identical_across_jobs_and_cache_states() {
             &suite,
             &EngineOptions {
                 jobs: Some(jobs(1)),
-                shards: 0,
                 cache: Some(&cache),
                 sanitize: false,
                 measure: false,
@@ -134,7 +133,6 @@ fn engine_results_are_identical_across_jobs_and_cache_states() {
             &suite,
             &EngineOptions {
                 jobs: Some(jobs(8)),
-                shards: 0,
                 cache: None,
                 sanitize: false,
                 measure: false,
@@ -147,7 +145,6 @@ fn engine_results_are_identical_across_jobs_and_cache_states() {
             &suite,
             &EngineOptions {
                 jobs: Some(jobs(8)),
-                shards: 0,
                 cache: Some(&cache),
                 sanitize: false,
                 measure: false,
@@ -180,100 +177,6 @@ fn engine_results_are_identical_across_jobs_and_cache_states() {
 
         let _ = std::fs::remove_dir_all(&cache_dir);
     }
-}
-
-/// The sharded-engine contract: any shard count, any worker count, warm
-/// or cold cache — same bytes as the sequential engine. The matrix runs
-/// shards ∈ {1, 2, 4} × jobs ∈ {1, 8} on both topologies against a
-/// sequential (shards = 0) baseline, then replays shards = 4 from a
-/// warm cache (cache fingerprints exclude the shard count, so a cache
-/// filled sequentially serves sharded runs — legal only because the
-/// engines are bit-identical).
-#[test]
-fn sharded_engine_is_bit_identical_to_sequential() {
-    let jobs = |n: usize| NonZeroUsize::new(n).expect("positive job count");
-    let benches = [Benchmark::Fft, Benchmark::X264];
-    let models = [ModelKind::Baseline, ModelKind::DozzNoc, ModelKind::MlTurbo];
-    for topo in [Topology::mesh8x8(), Topology::cmesh4x4()] {
-        let suite = ModelSuite::train(
-            &Trainer::new(topo).with_duration_ns(DUR_NS),
-            FeatureSet::Reduced5,
-        );
-        let campaign = Campaign::new(topo)
-            .with_duration_ns(DUR_NS)
-            .try_with_models(&models)
-            .expect("non-empty model set");
-        let cache_dir = std::env::temp_dir().join(format!(
-            "dozznoc-determinism-shards-{}-{}",
-            std::process::id(),
-            topo.kind()
-        ));
-        let _ = std::fs::remove_dir_all(&cache_dir);
-        let cache = RunCache::open(&cache_dir);
-
-        let serialize = |cells: &[CellRun]| {
-            let results: Vec<_> = cells.iter().map(|c| &c.result).collect();
-            serde_json::to_string_pretty(&results).expect("results serialize")
-        };
-        let run = |shards: usize, jobs_n: usize, cache: Option<&RunCache>| {
-            campaign.run_cells(
-                &benches,
-                &suite,
-                &EngineOptions {
-                    jobs: Some(jobs(jobs_n)),
-                    shards,
-                    cache,
-                    sanitize: false,
-                    measure: false,
-                },
-            )
-        };
-
-        // Sequential baseline fills the cache.
-        let sequential = run(0, 1, Some(&cache));
-        assert!(sequential.iter().all(|c| !c.cache_hit));
-        let golden = serialize(&sequential);
-
-        for shards in [1, 2, 4] {
-            for jobs_n in [1, 8] {
-                let cells = run(shards, jobs_n, None);
-                assert_eq!(
-                    golden,
-                    serialize(&cells),
-                    "{}: shards={shards} jobs={jobs_n} diverged from sequential",
-                    topo.kind()
-                );
-            }
-        }
-
-        // Warm-cache replay under a sharded engine config: every cell
-        // hits, because the fingerprint is shard-count-independent.
-        let warm = run(4, 8, Some(&cache));
-        assert!(
-            warm.iter().all(|c| c.cache_hit),
-            "{}: warm sharded run must replay from the sequential fill",
-            topo.kind()
-        );
-        assert_eq!(golden, serialize(&warm), "{}", topo.kind());
-
-        let _ = std::fs::remove_dir_all(&cache_dir);
-    }
-
-    // shards = 1 must take the sequential fast path *exactly*: the
-    // plan collapses and `run_sharded` IS `Network::run`, not a
-    // one-worker barrier loop.
-    let topo = Topology::mesh8x8();
-    let cfg = NocConfig::paper(topo);
-    let trace = TraceGenerator::new(topo)
-        .with_duration_ns(DUR_NS)
-        .generate(Benchmark::Fft);
-    let sequential = Network::new(cfg)
-        .run(&trace, &mut AlwaysMode::new(Mode::M7))
-        .expect("sequential run completes");
-    let one_shard = run_sharded(cfg, &trace, 1, &|_| Box::new(AlwaysMode::new(Mode::M7)))
-        .expect("one-shard run completes");
-    let ser = |r: &RunReport| serde_json::to_string(r).expect("report serializes");
-    assert_eq!(ser(&sequential), ser(&one_shard));
 }
 
 /// The same engine contract for the learning plug-in policies. Both
@@ -310,7 +213,6 @@ fn online_policies_are_deterministic_across_jobs_and_cache_states() {
                 registry,
                 &EngineOptions {
                     jobs: Some(jobs(jobs_n)),
-                    shards: 0,
                     cache,
                     sanitize: false,
                     measure: false,

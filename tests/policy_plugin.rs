@@ -108,7 +108,6 @@ fn third_party_factory_runs_campaigns_without_touching_modelkind() {
             &registry,
             &EngineOptions {
                 jobs: None,
-                shards: 0,
                 cache: None,
                 sanitize: false,
                 measure: false,
@@ -129,7 +128,6 @@ fn third_party_factory_runs_campaigns_without_touching_modelkind() {
             &registry,
             &EngineOptions {
                 jobs: None,
-                shards: 0,
                 cache: None,
                 sanitize: false,
                 measure: false,
@@ -161,7 +159,6 @@ fn spec_path_replays_a_cache_warmed_by_the_modelkind_path() {
     let cache = RunCache::open(&cache_dir);
     let opts = |cache| EngineOptions {
         jobs: None,
-        shards: 0,
         cache,
         sanitize: false,
         measure: false,

@@ -1,9 +1,10 @@
-//! Seeded multi-thread stress of the sharding substrate: several OS
-//! threads hammer `core::schedule::run_indexed` and one shared
-//! `RunCache` concurrently, then the test asserts the invariants the
-//! dataflow passes guard statically — every slot filled exactly once
-//! with its own index's result, and the atomic stats counters conserve
-//! (`hits + misses == lookups`, `stores == successful puts`).
+//! Seeded multi-thread stress of the workspace's only concurrency:
+//! several OS threads hammer `core::schedule::run_indexed` and one
+//! shared `RunCache` concurrently, then the test asserts every slot is
+//! filled exactly once with its own index's result, and the atomic
+//! stats counters conserve (`hits + misses == lookups`,
+//! `stores == successful puts`). The nightly ThreadSanitizer job runs
+//! this file too.
 //!
 //! Everything is driven from one `SmallRng` seed per thread so a
 //! failure replays exactly; no wall clock, no ambient state.
