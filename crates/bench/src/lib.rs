@@ -1,49 +1,4 @@
-//! Shared fixtures for the Criterion benchmarks.
-//!
-//! Each paper table/figure has a bench group that measures the kernel
-//! regenerating it (see `benches/`). Simulation-driven benches use
-//! deliberately short traces: Criterion needs repeatable sub-second
-//! iterations, while the full-length reproduction lives in
-//! `dozz-repro`.
+//! Load-regime trace fixtures for the repository benchmark,
+//! `dozz-bench` (see `BENCHMARK.json`).
 
 pub mod regimes;
-
-use dozznoc_core::{ModelSuite, Trainer};
-use dozznoc_ml::FeatureSet;
-use dozznoc_noc::NocConfig;
-use dozznoc_topology::Topology;
-use dozznoc_traffic::{Benchmark, Trace, TraceGenerator};
-
-/// Trace horizon for bench-sized simulations (ns).
-pub const BENCH_TRACE_NS: u64 = 2_000;
-
-/// The benchmark trace every simulation bench injects.
-pub fn bench_trace() -> Trace {
-    TraceGenerator::new(Topology::mesh8x8())
-        .with_duration_ns(BENCH_TRACE_NS)
-        .generate(Benchmark::X264)
-}
-
-/// Simulator config for bench runs.
-pub fn bench_config() -> NocConfig {
-    NocConfig::paper(Topology::mesh8x8())
-}
-
-/// A trained model suite on bench-sized traces (trained once per bench
-/// process).
-pub fn bench_suite() -> ModelSuite {
-    let trainer = Trainer::new(Topology::mesh8x8()).with_duration_ns(BENCH_TRACE_NS);
-    ModelSuite::train(&trainer, FeatureSet::Reduced5)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fixtures_materialize() {
-        let t = bench_trace();
-        assert!(!t.is_empty());
-        assert_eq!(bench_config().epoch_cycles, 500);
-    }
-}

@@ -18,8 +18,7 @@
 //!
 //! Fixtures are deterministic (seeded) and topology-generic, so the
 //! same regime runs on `mesh8x8` and `cmesh4x4` produce comparable
-//! work. Both `dozz-bench` and the Criterion benches build traces from
-//! here.
+//! work. `dozz-bench` builds its simulator workloads' traces from here.
 
 use dozznoc_topology::Topology;
 use dozznoc_traffic::patterns::{self, Pattern};

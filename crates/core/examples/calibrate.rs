@@ -3,6 +3,10 @@ use dozznoc_ml::FeatureSet;
 use dozznoc_topology::Topology;
 use dozznoc_traffic::TEST_BENCHMARKS;
 
+#[allow(
+    clippy::disallowed_types,
+    reason = "a calibration run reports its own wall time; the readings never reach simulation state"
+)]
 fn main() {
     let dur: u64 = std::env::args()
         .nth(1)

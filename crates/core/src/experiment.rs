@@ -36,6 +36,10 @@ pub fn run_model(cfg: NocConfig, trace: &Trace, kind: ModelKind, suite: &ModelSu
 }
 
 /// Run one model on one trace, streaming per-epoch telemetry into `tel`.
+#[allow(
+    clippy::panic,
+    reason = "driver-level escalation; a failed run invalidates the whole campaign"
+)]
 pub fn run_model_with_telemetry(
     cfg: NocConfig,
     trace: &Trace,
@@ -46,7 +50,6 @@ pub fn run_model_with_telemetry(
     let mut policy = kind.build(suite);
     Network::new(cfg)
         .run_with_telemetry(trace, policy.as_mut(), tel)
-        // xtask-analyze: allow(panic-reachability) — driver-level escalation; a failed run invalidates the whole campaign
         .unwrap_or_else(|e| panic!("{kind} on {} failed: {e}", trace.name))
 }
 
@@ -55,6 +58,10 @@ pub fn run_model_with_telemetry(
 /// flow-control, conservation and scheduling violations, collected in
 /// `san` for [`SimSanitizer::report`]. The returned report is
 /// bit-identical to [`run_model`]'s — the sanitizer only observes.
+#[allow(
+    clippy::panic,
+    reason = "driver-level escalation; a failed run invalidates the whole campaign"
+)]
 pub fn run_model_sanitized(
     cfg: NocConfig,
     trace: &Trace,
@@ -66,7 +73,6 @@ pub fn run_model_sanitized(
     let mut policy = kind.build(suite);
     Network::new(cfg)
         .run_sanitized(trace, policy.as_mut(), tel, san)
-        // xtask-analyze: allow(panic-reachability) — driver-level escalation; a failed run invalidates the whole campaign
         .unwrap_or_else(|e| panic!("{kind} on {} failed: {e}", trace.name))
 }
 
@@ -74,6 +80,10 @@ pub fn run_model_sanitized(
 /// plug-in) on one trace, streaming telemetry into `tel`. Errors on
 /// unknown names or invalid parameters instead of panicking — this is
 /// the CLI-boundary entry point.
+#[allow(
+    clippy::panic,
+    reason = "driver-level escalation; a failed run invalidates the whole campaign"
+)]
 pub fn run_policy_with_telemetry(
     cfg: NocConfig,
     trace: &Trace,
@@ -85,7 +95,6 @@ pub fn run_policy_with_telemetry(
     let mut policy = registry.build(spec, &PolicyContext { suite })?;
     Ok(Network::new(cfg)
         .run_with_telemetry(trace, policy.as_mut(), tel)
-        // xtask-analyze: allow(panic-reachability) — driver-level escalation; a failed run invalidates the whole campaign
         .unwrap_or_else(|e| panic!("{spec} on {} failed: {e}", trace.name)))
 }
 
@@ -99,15 +108,21 @@ fn simulate(
 ) -> (RunReport, Option<SanitizerReport>) {
     if sanitize {
         let mut san = SimSanitizer::default();
+        #[allow(
+            clippy::panic,
+            reason = "driver-level escalation; a failed run invalidates the whole campaign"
+        )]
         let report = Network::new(cfg)
             .run_sanitized(trace, policy, &mut NullSink, &mut san)
-            // xtask-analyze: allow(panic-reachability) — driver-level escalation; a failed run invalidates the whole campaign
             .unwrap_or_else(|e| panic!("policy on {} failed: {e}", trace.name));
         (report, Some(san.report()))
     } else {
+        #[allow(
+            clippy::panic,
+            reason = "driver-level escalation; a failed run invalidates the whole campaign"
+        )]
         let report = Network::new(cfg)
             .run_with_telemetry(trace, policy, &mut NullSink)
-            // xtask-analyze: allow(panic-reachability) — driver-level escalation; a failed run invalidates the whole campaign
             .unwrap_or_else(|e| panic!("policy on {} failed: {e}", trace.name));
         (report, None)
     }

@@ -25,9 +25,13 @@
 //! the [`schedule`] work-stealing cell scheduler with an optional
 //! content-addressed run [`cache`].
 
-// Unit tests assert table constants and exactly-rounded arithmetic
-// bit-for-bit; exact float equality is the point there.
-#![cfg_attr(test, allow(clippy::float_cmp))]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::float_cmp,
+        reason = "unit tests assert table constants and exactly-rounded arithmetic bit-for-bit"
+    )
+)]
 
 //! The policy layer is *open*: [`registry`] defines the plug-in API —
 //! [`PolicyFactory`] implementations registered in a [`PolicyRegistry`]

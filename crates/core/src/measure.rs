@@ -20,6 +20,12 @@
 //!   high-water mark, not a per-cell delta. A cell's reading is "the
 //!   largest the process had been by the time this cell finished".
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the measurement region reads wall/CPU clocks by design; readings flow into \
+              reports only, never back into simulation state"
+)]
+
 use std::time::Instant;
 
 /// Clock ticks per second for `/proc/*/stat` CPU fields. `USER_HZ` is

@@ -132,9 +132,12 @@ impl Trainer {
         for &bench in benches {
             let trace = self.trace(bench);
             let mut collector = Collector::new(kind.policy(), self.topology.num_routers());
+            #[allow(
+                clippy::panic,
+                reason = "driver-level escalation; a failed training run has no recovery"
+            )]
             Network::new(self.config())
                 .run(&trace, &mut collector)
-                // xtask-analyze: allow(panic-reachability) — driver-level escalation; a failed training run has no recovery
                 .unwrap_or_else(|e| panic!("training run on {bench} failed: {e}"));
             let (ds, _) = collector.into_dataset();
             pooled.extend(&ds);

@@ -20,28 +20,17 @@
 use dozznoc_core::{Campaign, EngineOptions};
 use dozznoc_ml::FeatureSet;
 use dozznoc_topology::Topology;
-use dozznoc_traffic::{Benchmark, ALL_BENCHMARKS, TEST_BENCHMARKS};
+use dozznoc_traffic::{Benchmark, TEST_BENCHMARKS};
 
 use crate::ctx::{banner, Ctx};
 use crate::engine;
 use crate::suite::suite_for;
 
-fn parse_bench(name: &str) -> Benchmark {
-    ALL_BENCHMARKS
-        .iter()
-        .copied()
-        .find(|b| b.name().eq_ignore_ascii_case(name))
-        .unwrap_or_else(|| {
-            let known: Vec<&str> = ALL_BENCHMARKS.iter().map(|b| b.name()).collect();
-            panic!("unknown benchmark `{name}` (known: {})", known.join(", "))
-        })
-}
-
 /// Run every cell of the evaluation matrix under the sanitizer.
 pub fn run(ctx: &Ctx) {
     banner("Sanitizer check — invariant sweep over the evaluation matrix");
-    let benches: Vec<Benchmark> = match ctx.bench.as_deref() {
-        Some(name) => vec![parse_bench(name)],
+    let benches: Vec<Benchmark> = match ctx.bench {
+        Some(bench) => vec![bench],
         None => TEST_BENCHMARKS.to_vec(),
     };
 

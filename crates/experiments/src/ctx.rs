@@ -7,6 +7,7 @@ use std::num::NonZeroUsize;
 use std::path::PathBuf;
 
 use dozznoc_core::{EngineOptions, RunCache};
+use dozznoc_traffic::{Benchmark, ALL_BENCHMARKS};
 
 /// Parsed command-line context shared by every experiment.
 pub struct Ctx {
@@ -17,7 +18,7 @@ pub struct Ctx {
     /// Trace-generator seed.
     pub seed: u64,
     /// Benchmark selector (`--bench`), for commands that run one trace.
-    pub bench: Option<String>,
+    pub bench: Option<Benchmark>,
     /// Model selector (`--model`), for commands that run one policy.
     pub model: Option<String>,
     /// Worker threads for campaign matrices (`--jobs N`, or the
@@ -32,8 +33,18 @@ impl Ctx {
     /// Parse `--quick`, `--out DIR`, `--seed N`, `--bench NAME`,
     /// `--model NAME`, `--jobs N`, `--no-cache` from the argument list.
     /// When `--jobs` is absent, the `DOZZ_JOBS` environment variable is
-    /// consulted.
-    pub fn from_args(args: &[String]) -> Ctx {
+    /// consulted. A bad argument is a one-line error message.
+    pub fn from_args(args: &[String]) -> Result<Ctx, String> {
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "DOZZ_JOBS sets the worker count, which never changes simulated output"
+        )]
+        let env_jobs = std::env::var("DOZZ_JOBS").ok();
+        Ctx::parse(args, env_jobs.as_deref())
+    }
+
+    /// [`Ctx::from_args`] with the `DOZZ_JOBS` value passed in.
+    fn parse(args: &[String], env_jobs: Option<&str>) -> Result<Ctx, String> {
         let mut ctx = Ctx {
             out_dir: PathBuf::from("results"),
             quick: false,
@@ -43,44 +54,39 @@ impl Ctx {
             jobs: None,
             no_cache: false,
         };
-        let parse_jobs = |s: &str, origin: &str| -> NonZeroUsize {
+        let parse_jobs = |s: &str, origin: &str| -> Result<NonZeroUsize, String> {
             s.parse()
-                .unwrap_or_else(|_| panic!("{origin} needs a positive integer, got `{s}`"))
+                .map_err(|_| format!("{origin} needs a positive integer, got `{s}`"))
         };
         let mut it = args.iter();
         while let Some(a) = it.next() {
+            let mut value = |what: &str| {
+                it.next()
+                    .map(String::as_str)
+                    .ok_or_else(|| format!("{a} needs {what}"))
+            };
             match a.as_str() {
                 "--quick" => ctx.quick = true,
                 "--no-cache" => ctx.no_cache = true,
-                "--out" => {
-                    ctx.out_dir =
-                        PathBuf::from(it.next().expect("--out needs a directory argument"))
-                }
+                "--out" => ctx.out_dir = PathBuf::from(value("a directory argument")?),
                 "--seed" => {
-                    ctx.seed = it
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .expect("--seed needs an integer")
+                    let v = value("an integer")?;
+                    ctx.seed = v
+                        .parse()
+                        .map_err(|_| format!("--seed needs an integer, got `{v}`"))?;
                 }
-                "--jobs" => {
-                    let v = it.next().expect("--jobs needs a worker count");
-                    ctx.jobs = Some(parse_jobs(v, "--jobs"));
-                }
-                "--bench" => {
-                    ctx.bench = Some(it.next().expect("--bench needs a benchmark name").clone())
-                }
-                "--model" => {
-                    ctx.model = Some(it.next().expect("--model needs a model name").clone())
-                }
-                other => panic!("unknown flag `{other}`"),
+                "--jobs" => ctx.jobs = Some(parse_jobs(value("a worker count")?, "--jobs")?),
+                "--bench" => ctx.bench = Some(parse_bench(value("a benchmark name")?)?),
+                "--model" => ctx.model = Some(value("a model name")?.to_string()),
+                other => return Err(format!("unknown flag `{other}`")),
             }
         }
         if ctx.jobs.is_none() {
-            if let Ok(v) = std::env::var("DOZZ_JOBS") {
-                ctx.jobs = Some(parse_jobs(&v, "DOZZ_JOBS"));
+            if let Some(v) = env_jobs {
+                ctx.jobs = Some(parse_jobs(v, "DOZZ_JOBS")?);
             }
         }
-        ctx
+        Ok(ctx)
     }
 
     /// Trace horizon in nanoseconds (shortened by `--quick`).
@@ -129,7 +135,112 @@ impl Ctx {
     }
 }
 
+/// Resolve a `--bench` name (case-insensitive) among all fourteen
+/// benchmarks.
+fn parse_bench(name: &str) -> Result<Benchmark, String> {
+    ALL_BENCHMARKS
+        .iter()
+        .copied()
+        .find(|b| b.name().eq_ignore_ascii_case(name))
+        .ok_or_else(|| {
+            let known: Vec<&str> = ALL_BENCHMARKS.iter().map(|b| b.name()).collect();
+            format!("unknown benchmark `{name}` (known: {})", known.join(", "))
+        })
+}
+
 /// Print a section banner.
 pub fn banner(title: &str) {
     println!("\n=== {title} ===");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Ctx, String> {
+        parse_env(args, None)
+    }
+
+    fn parse_env(args: &[&str], env_jobs: Option<&str>) -> Result<Ctx, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        Ctx::parse(&args, env_jobs)
+    }
+
+    #[test]
+    fn every_flag_parses() {
+        let ctx = parse(&[
+            "--quick",
+            "--no-cache",
+            "--out",
+            "o",
+            "--seed",
+            "7",
+            "--jobs",
+            "3",
+            "--bench",
+            "FFT",
+            "--model",
+            "pg",
+        ])
+        .expect("valid arguments");
+        assert!(ctx.quick && ctx.no_cache);
+        assert_eq!(ctx.out_dir, PathBuf::from("o"));
+        assert_eq!(ctx.seed, 7);
+        assert_eq!(ctx.jobs, NonZeroUsize::new(3));
+        assert_eq!(ctx.bench, Some(Benchmark::Fft));
+        assert_eq!(ctx.model.as_deref(), Some("pg"));
+    }
+
+    #[test]
+    fn unknown_flag_is_an_error() {
+        let err = parse(&["--fast"]).err().expect("unknown flag rejected");
+        assert_eq!(err, "unknown flag `--fast`");
+    }
+
+    #[test]
+    fn missing_values_are_errors() {
+        for flag in ["--out", "--seed", "--jobs", "--bench", "--model"] {
+            let err = parse(&["--quick", flag])
+                .err()
+                .expect("missing value rejected");
+            assert!(err.starts_with(&format!("{flag} needs ")), "{flag}: {err}");
+        }
+    }
+
+    #[test]
+    fn non_integer_seed_is_an_error() {
+        let err = parse(&["--seed", "x1"]).err().expect("bad seed rejected");
+        assert_eq!(err, "--seed needs an integer, got `x1`");
+    }
+
+    #[test]
+    fn zero_jobs_is_an_error() {
+        let err = parse(&["--jobs", "0"])
+            .err()
+            .expect("zero workers rejected");
+        assert_eq!(err, "--jobs needs a positive integer, got `0`");
+    }
+
+    #[test]
+    fn bad_dozz_jobs_is_an_error_unless_jobs_is_given() {
+        let err = parse_env(&[], Some("many"))
+            .err()
+            .expect("bad DOZZ_JOBS rejected");
+        assert_eq!(err, "DOZZ_JOBS needs a positive integer, got `many`");
+        let ctx = parse_env(&["--jobs", "2"], Some("many")).expect("--jobs wins");
+        assert_eq!(ctx.jobs, NonZeroUsize::new(2));
+        let ctx = parse_env(&[], Some("4")).expect("valid DOZZ_JOBS");
+        assert_eq!(ctx.jobs, NonZeroUsize::new(4));
+    }
+
+    #[test]
+    fn unknown_bench_is_an_error() {
+        let err = parse(&["--bench", "doom"])
+            .err()
+            .expect("unknown bench rejected");
+        assert!(
+            err.starts_with("unknown benchmark `doom` (known: "),
+            "{err}"
+        );
+    }
 }

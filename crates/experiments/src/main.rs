@@ -63,8 +63,18 @@ use ctx::Ctx;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let command = args.first().map(String::as_str).unwrap_or("help");
-    let ctx = Ctx::from_args(&args[1.min(args.len())..]);
+    let ctx = match Ctx::from_args(&args[1.min(args.len())..]) {
+        Ok(ctx) => ctx,
+        Err(e) => {
+            eprintln!("{e}\n{HELP}");
+            std::process::exit(2);
+        }
+    };
 
+    #[allow(
+        clippy::disallowed_types,
+        reason = "the CLI prints its own elapsed wall time; simulation never reads it"
+    )]
     let started = std::time::Instant::now();
     match command {
         "table1" => tables::table1(&ctx),

@@ -20,21 +20,10 @@ use dozznoc_core::{run_policy_with_telemetry, ModelSuite, PolicyRegistry, Policy
 use dozznoc_ml::{FeatureSet, TrainedModel};
 use dozznoc_noc::TimelineSink;
 use dozznoc_topology::Topology;
-use dozznoc_traffic::{Benchmark, TraceGenerator, ALL_BENCHMARKS};
+use dozznoc_traffic::{Benchmark, TraceGenerator};
 
 use crate::ctx::{banner, Ctx};
 use crate::suite::suite_for;
-
-fn parse_bench(name: &str) -> Benchmark {
-    ALL_BENCHMARKS
-        .iter()
-        .copied()
-        .find(|b| b.name().eq_ignore_ascii_case(name))
-        .unwrap_or_else(|| {
-            let known: Vec<&str> = ALL_BENCHMARKS.iter().map(|b| b.name()).collect();
-            panic!("unknown benchmark `{name}` (known: {})", known.join(", "))
-        })
-}
 
 /// Parse `--model` against the policy registry, exiting with the full
 /// name/alias listing on failure (the registry's `PolicyError` renders
@@ -74,7 +63,7 @@ fn untrained_suite() -> ModelSuite {
 
 /// Capture and write the time-series for one (benchmark, policy) cell.
 pub fn run(ctx: &Ctx) {
-    let bench = parse_bench(ctx.bench.as_deref().unwrap_or("blackscholes"));
+    let bench = ctx.bench.unwrap_or(Benchmark::Blackscholes);
     let registry = PolicyRegistry::global();
     let spec = parse_policy(ctx.model.as_deref().unwrap_or("dozznoc"));
     let factory = registry

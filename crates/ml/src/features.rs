@@ -237,14 +237,14 @@ impl core::fmt::Display for FeatureSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn full_set_has_exactly_41_distinct_features() {
         let ids = FeatureSet::Full41.ids();
         assert_eq!(ids.len(), 41);
         assert_eq!(ids.len(), FeatureSet::Full41.len());
-        let distinct: HashSet<_> = ids.iter().collect();
+        let distinct: BTreeSet<_> = ids.iter().map(FeatureId::name).collect();
         assert_eq!(distinct.len(), 41, "duplicate feature in Full41");
     }
 
@@ -266,9 +266,13 @@ mod tests {
 
     #[test]
     fn reduced_is_subset_of_full() {
-        let full: HashSet<_> = FeatureSet::Full41.ids().into_iter().collect();
+        let full: BTreeSet<_> = FeatureSet::Full41
+            .ids()
+            .iter()
+            .map(FeatureId::name)
+            .collect();
         for id in FeatureSet::Reduced5.ids() {
-            assert!(full.contains(&id), "{id:?} missing from Full41");
+            assert!(full.contains(&id.name()), "{id:?} missing from Full41");
         }
     }
 
@@ -286,7 +290,7 @@ mod tests {
 
     #[test]
     fn names_are_unique() {
-        let names: HashSet<_> = FeatureSet::Full41.ids().iter().map(|f| f.name()).collect();
+        let names: BTreeSet<_> = FeatureSet::Full41.ids().iter().map(|f| f.name()).collect();
         assert_eq!(names.len(), 41);
     }
 }

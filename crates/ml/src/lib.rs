@@ -20,9 +20,13 @@
 //! * [`rl`] — a deterministic tabular Q-learning substrate (seedable
 //!   xorshift exploration) for the RACE-style RL policy extension.
 
-// Unit tests assert table constants and exactly-rounded arithmetic
-// bit-for-bit; exact float equality is the point there.
-#![cfg_attr(test, allow(clippy::float_cmp))]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::float_cmp,
+        reason = "unit tests assert table constants and exactly-rounded arithmetic bit-for-bit"
+    )
+)]
 
 pub mod dataset;
 pub mod features;

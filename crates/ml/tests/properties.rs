@@ -1,9 +1,11 @@
 //! Property tests for the ML substrate: ridge regression must behave
 //! like ridge regression on arbitrary well-posed data.
 
-// Accuracy and projection properties are exact identities (a projected
-// column is a copy; a self-comparison scores exactly 1.0).
-#![allow(clippy::float_cmp)]
+#![allow(
+    clippy::float_cmp,
+    reason = "accuracy and projection properties are exact identities: a projected column \
+              is a copy, and a self-comparison scores exactly 1.0"
+)]
 
 use proptest::prelude::*;
 

@@ -25,9 +25,13 @@
 //! *Policies* (what DozzNoC actually contributes) plug in through the
 //! [`PowerPolicy`] trait and are implemented in `dozznoc-core`.
 
-// Unit tests assert table constants and exactly-rounded arithmetic
-// bit-for-bit; exact float equality is the point there.
-#![cfg_attr(test, allow(clippy::float_cmp))]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::float_cmp,
+        reason = "unit tests assert table constants and exactly-rounded arithmetic bit-for-bit"
+    )
+)]
 
 pub mod buffer;
 pub mod config;

@@ -47,8 +47,8 @@ use dozznoc_power::{
 use dozznoc_topology::{Port, Topology, XyRouter};
 use dozznoc_traffic::Trace;
 use dozznoc_types::{
-    DomainCycles, Flit, FlitKind, Mode, PowerState, RouterId, SimTime, TransitionEvent,
-    TransitionKind,
+    ClockDivisor, DomainCycles, Flit, FlitKind, Mode, PowerState, RouterId, SimTime,
+    TransitionEvent, TransitionKind,
 };
 
 use std::cmp::Reverse;
@@ -159,14 +159,14 @@ enum Effect {
 
 /// Settled per-router metadata (state as of the end of the previous
 /// tick), read by *other* routers during the fire phase.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct SnapMeta {
     /// `state.is_operational()` at settlement.
     operational: bool,
     /// T-Switch stall deadline at settlement.
     stall_until: u64,
     /// Clock divisor at settlement (downstream pipeline timing).
-    divisor: u64,
+    divisor: ClockDivisor,
 }
 
 /// Snapshot VC flag: the VC can accept a new packet's head.
@@ -289,10 +289,21 @@ impl Network {
                 vec![0; n_ports * n_slots]
             },
             sa_cand_len: vec![0; topo.ports_per_router()],
-            // xtask-analyze: allow(determinism-taint) — read once at construction, before any simulation state exists; the flag only gates error-path printing, never simulation output
+            #[allow(
+                clippy::disallowed_methods,
+                reason = "read once at construction, before any simulation state exists; the flag \
+                          only gates error-path printing, never simulation output"
+            )]
             dump_on_livelock: std::env::var_os("DOZZNOC_DUMP_ON_LIVELOCK").is_some(),
             outbox: Vec::new(),
-            snap_meta: vec![SnapMeta::default(); n],
+            snap_meta: vec![
+                SnapMeta {
+                    operational: false,
+                    stall_until: 0,
+                    divisor: Mode::M3.divisor(),
+                };
+                n
+            ],
             snap_vc: vec![0; n * topo.ports_per_router() * cfg.vcs_per_port],
             dirty: vec![false; n],
             dirty_list: Vec::new(),
@@ -574,7 +585,7 @@ impl Network {
             self.mark_dirty(idx);
             self.step_router(i, policy, ml_overhead, tel);
             let r = &mut self.routers[i];
-            r.next_cycle_at = self.now + r.divisor();
+            r.next_cycle_at = self.now + r.divisor().cycle_ticks();
             self.sched.push(Reverse((r.next_cycle_at, idx)));
         }
     }
@@ -725,7 +736,7 @@ impl Network {
         match self.routers[i].state {
             PowerState::Inactive => {
                 // Always-on heartbeat: account off time, advance epoch.
-                let div = self.routers[i].divisor();
+                let div = self.routers[i].divisor().cycle_ticks();
                 let r = &mut self.routers[i];
                 r.counters.off_ticks += div;
                 r.total_off_ticks += div;
@@ -1203,7 +1214,7 @@ impl Network {
         // earlier strands the old heap entry (discarded as stale on
         // pop), so the new deadline needs its own entry.
         let r = &mut self.routers[i];
-        let pulled = self.now + r.divisor();
+        let pulled = self.now + r.divisor().cycle_ticks();
         if pulled < r.next_cycle_at {
             r.next_cycle_at = pulled;
             self.sched.push(Reverse((pulled, i as u32)));
@@ -1550,7 +1561,7 @@ mod tests {
         net.routers[i].next_cycle_at = 360 + 1_000;
         net.sched.push(Reverse((360 + 1_000, i as u32)));
         net.begin_wakeup(i);
-        let pulled = 360 + net.routers[i].divisor();
+        let pulled = 360 + net.routers[i].divisor().cycle_ticks();
         assert!(pulled < 360 + 1_000);
         assert_eq!(net.routers[i].next_cycle_at, pulled);
         assert!(

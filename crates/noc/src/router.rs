@@ -5,7 +5,7 @@
 //! (switch allocation, hops, wake-ups) lives in [`crate::network`]
 //! because it needs simultaneous access to both ends of every link.
 
-use dozznoc_types::{DomainCycles, Mode, PowerState, RouterId, SimTime};
+use dozznoc_types::{ClockDivisor, DomainCycles, Mode, PowerState, RouterId, SimTime};
 
 use crate::buffer::InputPort;
 use crate::config::NocConfig;
@@ -186,7 +186,7 @@ impl Router {
     /// The clock divisor the router ticks at in its current state.
     /// Gated/waking routers keep a slow M3-rate heartbeat for the
     /// always-on power-management logic.
-    pub fn divisor(&self) -> u64 {
+    pub fn divisor(&self) -> ClockDivisor {
         match self.state {
             PowerState::Active(m) => m.divisor(),
             PowerState::Wakeup { target, .. } => target.divisor(),
@@ -306,7 +306,7 @@ mod tests {
         let r = router();
         assert_eq!(r.state, PowerState::Active(Mode::M7));
         assert_eq!(r.selected_mode, Mode::M7);
-        assert_eq!(r.divisor(), 8);
+        assert_eq!(r.divisor(), Mode::M7.divisor());
         assert!(r.buffers_empty());
         assert_eq!(r.ibu_now(), 0.0);
         assert_eq!(r.ports.len(), 5);

@@ -21,14 +21,14 @@
 use serde::Serialize;
 
 use dozznoc_topology::Port;
-use dozznoc_types::{DomainCycles, PacketId, PowerState, RouterId, TickDelta};
+use dozznoc_types::{ClockDivisor, DomainCycles, Mode, PacketId, PowerState, RouterId, TickDelta};
 
 use crate::network::Network;
 use crate::telemetry::Telemetry;
 
 /// Largest base-tick divisor any power state runs at (the gated
 /// heartbeat ticks at the M3 rate).
-const MAX_DIVISOR: u64 = 18;
+const MAX_DIVISOR: ClockDivisor = Mode::M3.divisor();
 
 /// Configuration of one [`SimSanitizer`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -319,7 +319,8 @@ impl SimSanitizer {
             // heartbeat away, never in the past (a missed cycle), and
             // backed by a live heap entry. `now` itself is legal only
             // before the first drain (a fresh network).
-            let in_window = r.next_cycle_at >= now && r.next_cycle_at <= now + MAX_DIVISOR;
+            let in_window =
+                r.next_cycle_at >= now && r.next_cycle_at <= now + MAX_DIVISOR.cycle_ticks();
             if !self.seen[i] || !in_window {
                 self.emit(
                     InvariantViolation {
@@ -423,7 +424,10 @@ impl SimSanitizer {
 
     /// Per-VC checks: capacity, wormhole linkage, ready-tick causality
     /// and the stall watchdog.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "a VC's coordinates and buffer plus the sweep's tick bounds and telemetry sink"
+    )]
     fn check_vc(
         &mut self,
         net: &Network,

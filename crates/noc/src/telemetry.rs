@@ -19,8 +19,8 @@
 //! Sinks opt out of all of it by returning `false` from
 //! [`is_enabled`](Telemetry::is_enabled): the network then skips the
 //! ledger snapshots and residency settling entirely, so a disabled sink
-//! ([`NullSink`]) costs nothing measurable (see the `telemetry`
-//! Criterion bench).
+//! ([`NullSink`]) costs nothing measurable (last measured by the
+//! retired Criterion `telemetry` bench).
 
 use std::io::{self, Write};
 use std::path::Path;

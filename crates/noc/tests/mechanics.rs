@@ -1,8 +1,10 @@
 //! Integration tests of the simulator's power-state mechanics: the
 //! fine-grained behaviours the paper's Fig. 3(a) state machine promises.
 
-// An un-billed energy counter stays exactly 0.0.
-#![allow(clippy::float_cmp)]
+#![allow(
+    clippy::float_cmp,
+    reason = "an un-billed energy counter stays exactly 0.0"
+)]
 
 use dozznoc_noc::{AlwaysMode, EpochObservation, Network, NocConfig, PowerPolicy};
 use dozznoc_topology::{DimOrder, Topology};

@@ -16,9 +16,13 @@
 //!    that the network simulator bills state residency, flit hops and ML
 //!    label computations to.
 
-// Unit tests assert table constants and exactly-rounded arithmetic
-// bit-for-bit; exact float equality is the point there.
-#![cfg_attr(test, allow(clippy::float_cmp))]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::float_cmp,
+        reason = "unit tests assert table constants and exactly-rounded arithmetic bit-for-bit"
+    )
+)]
 
 pub mod dsent;
 pub mod energy;

@@ -63,7 +63,7 @@ impl BenchmarkSplit {
 mod tests {
     use super::*;
     use crate::synthetic::ALL_BENCHMARKS;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn split_sizes_match_paper() {
@@ -74,17 +74,17 @@ mod tests {
 
     #[test]
     fn splits_partition_all_fourteen() {
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for b in TRAIN_BENCHMARKS
             .iter()
             .chain(&VALIDATION_BENCHMARKS)
             .chain(&TEST_BENCHMARKS)
         {
-            assert!(seen.insert(*b), "{b} in two splits");
+            assert!(seen.insert(b.name()), "{b} in two splits");
         }
         assert_eq!(seen.len(), ALL_BENCHMARKS.len());
         for b in ALL_BENCHMARKS {
-            assert!(seen.contains(&b), "{b} unassigned");
+            assert!(seen.contains(b.name()), "{b} unassigned");
         }
     }
 
@@ -104,7 +104,7 @@ mod tests {
     #[test]
     fn test_set_covers_both_suites() {
         use crate::synthetic::Suite;
-        let suites: HashSet<_> = TEST_BENCHMARKS.iter().map(|b| b.profile().suite).collect();
+        let suites: Vec<_> = TEST_BENCHMARKS.iter().map(|b| b.profile().suite).collect();
         assert!(suites.contains(&Suite::Parsec));
         assert!(suites.contains(&Suite::Splash2));
     }

@@ -371,14 +371,14 @@ impl core::fmt::Display for Benchmark {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn fourteen_distinct_benchmarks() {
         assert_eq!(ALL_BENCHMARKS.len(), 14);
-        let names: HashSet<_> = ALL_BENCHMARKS.iter().map(|b| b.name()).collect();
+        let names: BTreeSet<_> = ALL_BENCHMARKS.iter().map(|b| b.name()).collect();
         assert_eq!(names.len(), 14);
-        let seeds: HashSet<_> = ALL_BENCHMARKS.iter().map(|b| b.seed()).collect();
+        let seeds: BTreeSet<_> = ALL_BENCHMARKS.iter().map(|b| b.seed()).collect();
         assert_eq!(seeds.len(), 14);
     }
 

@@ -14,9 +14,13 @@
 //! `divisor` ticks (18, 12, 10, 9 or 8). This makes per-router DVFS exact:
 //! there is no fractional-cycle rounding anywhere in the simulator.
 
-// Unit tests assert table constants and exactly-rounded arithmetic
-// bit-for-bit; exact float equality is the point there.
-#![cfg_attr(test, allow(clippy::float_cmp))]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::float_cmp,
+        reason = "unit tests assert table constants and exactly-rounded arithmetic bit-for-bit"
+    )
+)]
 
 pub mod error;
 pub mod events;
@@ -30,4 +34,4 @@ pub use events::{TransitionEvent, TransitionKind};
 pub use flit::{Flit, FlitKind, Packet, PacketId, PacketKind};
 pub use ids::{CoreId, RouterId, VcId};
 pub use mode::{Mode, PowerState, ACTIVE_MODES};
-pub use time::{DomainCycles, SimTime, TickDelta, BASE_CLOCK_GHZ, TICKS_PER_NS};
+pub use time::{ClockDivisor, DomainCycles, SimTime, TickDelta, BASE_CLOCK_GHZ, TICKS_PER_NS};

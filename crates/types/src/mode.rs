@@ -7,9 +7,17 @@
 //! [`Mode`] models the active pairs; [`PowerState`] models the full state
 //! machine of Fig. 2(c).
 
+// Mode tables are exact integers; widen with `From`, never `as`.
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap,
+    clippy::cast_lossless
+)]
+
 use serde::{Deserialize, Serialize};
 
-use crate::time::SimTime;
+use crate::time::{ClockDivisor, SimTime};
 
 /// The five active DVFS voltage/frequency pairs (paper modes 3–7).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -70,14 +78,14 @@ impl Mode {
     /// Base-tick divisor: a router in this mode executes one local cycle
     /// every `divisor` ticks of the 18 GHz base clock.
     #[inline]
-    pub const fn divisor(self) -> u64 {
-        match self {
+    pub const fn divisor(self) -> ClockDivisor {
+        ClockDivisor::new(match self {
             Mode::M3 => 18, // 18 GHz / 1    GHz
             Mode::M4 => 12, // 18 GHz / 1.5  GHz
             Mode::M5 => 10, // 18 GHz / 1.8  GHz
             Mode::M6 => 9,  // 18 GHz / 2    GHz
             Mode::M7 => 8,  // 18 GHz / 2.25 GHz
-        }
+        })
     }
 
     /// Paper mode number (3–7).
@@ -94,10 +102,10 @@ impl Mode {
 
     /// Zero-based rank among active modes (0–4), handy for array indexing.
     #[inline]
-    pub const fn rank(self) -> usize {
+    pub fn rank(self) -> usize {
         // index() is 3–7 by construction, so the subtraction cannot
-        // underflow and the widening u8→usize conversion is lossless.
-        (self.index() - 3) as usize // xtask-lint: allow(lossy-cast) — u8→usize widens
+        // underflow.
+        usize::from(self.index() - 3)
     }
 
     /// Inverse of [`Mode::index`]. Returns `None` for 1 (inactive),
@@ -209,12 +217,12 @@ mod tests {
     #[test]
     fn divisors_divide_base_clock_exactly() {
         for m in ACTIVE_MODES {
-            let product = m.freq_ghz() * m.divisor() as f64;
+            let product = m.freq_ghz() * m.divisor().cycle_ticks() as f64;
             assert!(
                 (product - crate::time::BASE_CLOCK_GHZ as f64).abs() < 1e-9,
                 "{m:?}: {} GHz × {} != 18 GHz",
                 m.freq_ghz(),
-                m.divisor()
+                m.divisor().cycle_ticks()
             );
         }
     }

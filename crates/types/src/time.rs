@@ -4,6 +4,15 @@
 //! DozzNoC operating frequency divides the base clock evenly, which lets the
 //! simulator model heterogeneous per-router clock domains exactly.
 
+// Tick math is exact integer arithmetic; the one float→tick conversion
+// below carries the only allowed lossy cast.
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap,
+    clippy::cast_lossless
+)]
+
 use serde::{Deserialize, Serialize};
 
 /// Frequency of the virtual base clock in GHz. All V/F modes divide it.
@@ -15,15 +24,19 @@ pub const TICKS_PER_NS: u64 = BASE_CLOCK_GHZ;
 /// The single authorized float→tick conversion: saturates at the
 /// representable range instead of relying on an unchecked truncating
 /// cast, and rejects NaN / negative inputs under debug assertions.
-/// All other tick math stays in integer arithmetic (`cargo xtask lint`
-/// forbids further lossy `as` casts in this module).
+/// All other tick math stays in integer arithmetic (the cast lints
+/// denied at the top of this module reject further lossy `as` casts).
 #[inline]
+#[allow(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "saturating by construction"
+)]
 fn ticks_from_f64_saturating(ticks: f64) -> u64 {
     debug_assert!(!ticks.is_nan(), "tick count is NaN");
     debug_assert!(ticks >= 0.0, "negative tick count {ticks}");
     // f64→u64 `as` casts saturate (NaN maps to 0), which is exactly the
     // release-mode fallback wanted here.
-    // xtask-lint: allow(lossy-cast) — saturating by construction
     ticks as u64
 }
 
@@ -35,8 +48,8 @@ fn ticks_from_f64_saturating(ticks: f64) -> u64 {
 ///
 /// The inner field is sealed: outside this module the only way in is
 /// [`SimTime::from_ticks`]/[`SimTime::from_ns_ceil`] and the only way
-/// out is [`SimTime::ticks`]. `cargo xtask analyze` (unit-consistency
-/// pass) keeps raw-`u64` escapes from creeping back in.
+/// out is [`SimTime::ticks`]; field privacy keeps raw-`u64` escapes
+/// from creeping back in.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
 )]
@@ -56,14 +69,39 @@ pub struct TickDelta(u64);
 /// a cycle count only has a duration once paired with that divisor.
 /// Keeping cycle counts in their own newtype makes the pairing explicit:
 /// the only tick↔cycle bridges are [`DomainCycles::to_ticks`] and
-/// [`DomainCycles::from_ticks_ceil`], both of which name the divisor at
-/// the call site. Ad-hoc `cycles * divisor` arithmetic is rejected by the
-/// unit-consistency pass of `cargo xtask analyze`.
+/// [`DomainCycles::from_ticks_ceil`], both of which take the domain's
+/// [`ClockDivisor`]. The divisor has no arithmetic, so ad-hoc
+/// `cycles * divisor` products do not compile.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
 )]
 #[serde(transparent)]
 pub struct DomainCycles(u64);
+
+/// A clock domain's base-tick divisor: the domain executes one local
+/// cycle every `divisor` ticks of the 18 GHz base clock
+/// (`Mode::divisor()`).
+///
+/// It converts cycles to ticks only through [`DomainCycles::to_ticks`],
+/// [`DomainCycles::from_ticks_ceil`] and [`TickDelta::as_cycles_ceil`];
+/// [`ClockDivisor::cycle_ticks`] names the length of one cycle. It has
+/// no arithmetic of its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct ClockDivisor(u64);
+
+impl ClockDivisor {
+    /// A domain that fires every `ticks_per_cycle` base ticks.
+    #[inline]
+    pub(crate) const fn new(ticks_per_cycle: u64) -> Self {
+        ClockDivisor(ticks_per_cycle)
+    }
+
+    /// Length of one local cycle in base ticks.
+    #[inline]
+    pub const fn cycle_ticks(self) -> u64 {
+        self.0
+    }
+}
 
 impl DomainCycles {
     /// Zero cycles.
@@ -86,12 +124,12 @@ impl DomainCycles {
     /// Overflow follows the tick-math policy (debug builds panic,
     /// release builds saturate — see [`TickDelta`]'s `Add`).
     #[inline]
-    pub const fn to_ticks(self, divisor: u64) -> TickDelta {
+    pub const fn to_ticks(self, divisor: ClockDivisor) -> TickDelta {
         debug_assert!(
-            self.0.checked_mul(divisor).is_some(),
+            self.0.checked_mul(divisor.0).is_some(),
             "DomainCycles→ticks overflow"
         );
-        TickDelta(self.0.saturating_mul(divisor))
+        TickDelta(self.0.saturating_mul(divisor.0))
     }
 
     /// Local cycles needed to cover `delta` under the given divisor,
@@ -99,9 +137,9 @@ impl DomainCycles {
     /// cycle). A zero divisor is a caller bug (no V/F mode has one);
     /// debug builds reject it, release builds clamp to 1.
     #[inline]
-    pub fn from_ticks_ceil(delta: TickDelta, divisor: u64) -> Self {
-        debug_assert!(divisor > 0, "zero clock divisor");
-        DomainCycles(delta.0.div_ceil(divisor.max(1)))
+    pub fn from_ticks_ceil(delta: TickDelta, divisor: ClockDivisor) -> Self {
+        debug_assert!(divisor.0 > 0, "zero clock divisor");
+        DomainCycles(delta.0.div_ceil(divisor.0.max(1)))
     }
 }
 
@@ -200,7 +238,7 @@ impl TickDelta {
     /// [`DomainCycles::from_ticks_ceil`]; see there for the zero-divisor
     /// policy.
     #[inline]
-    pub fn as_cycles_ceil(self, divisor: u64) -> u64 {
+    pub fn as_cycles_ceil(self, divisor: ClockDivisor) -> u64 {
         DomainCycles::from_ticks_ceil(self, divisor).count()
     }
 
@@ -327,9 +365,15 @@ mod tests {
     #[test]
     fn cycles_ceil() {
         // 159 ticks at divisor 18 (1 GHz) = 9 local cycles, rounded up.
-        assert_eq!(TickDelta::from_ticks(159).as_cycles_ceil(18), 9);
-        assert_eq!(TickDelta::from_ticks(160).as_cycles_ceil(8), 20);
-        assert_eq!(TickDelta::ZERO.as_cycles_ceil(18), 0);
+        assert_eq!(
+            TickDelta::from_ticks(159).as_cycles_ceil(ClockDivisor(18)),
+            9
+        );
+        assert_eq!(
+            TickDelta::from_ticks(160).as_cycles_ceil(ClockDivisor(8)),
+            20
+        );
+        assert_eq!(TickDelta::ZERO.as_cycles_ceil(ClockDivisor(18)), 0);
     }
 
     #[test]
@@ -343,11 +387,13 @@ mod tests {
     #[test]
     fn zero_divisor_is_rejected_or_clamped() {
         if cfg!(debug_assertions) {
-            let r = std::panic::catch_unwind(|| TickDelta::from_ticks(5).as_cycles_ceil(0));
+            let r = std::panic::catch_unwind(|| {
+                TickDelta::from_ticks(5).as_cycles_ceil(ClockDivisor(0))
+            });
             assert!(r.is_err(), "debug build must reject a zero divisor");
         } else {
             // Release builds clamp to divisor 1 instead of faulting.
-            assert_eq!(TickDelta::from_ticks(5).as_cycles_ceil(0), 5);
+            assert_eq!(TickDelta::from_ticks(5).as_cycles_ceil(ClockDivisor(0)), 5);
         }
     }
 
@@ -365,7 +411,7 @@ mod tests {
                 Box::new(move || near_max + two),
                 Box::new(move || near_max * 3),
                 Box::new(move || (SimTime::from_ticks(u64::MAX - 1) + two).delta(SimTime::ZERO)),
-                Box::new(|| DomainCycles::new(u64::MAX).to_ticks(2)),
+                Box::new(|| DomainCycles::new(u64::MAX).to_ticks(ClockDivisor(2))),
             ];
             for op in ops {
                 let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(op));
@@ -379,7 +425,12 @@ mod tests {
                 u64::MAX,
                 "release build must saturate, not wrap"
             );
-            assert_eq!(DomainCycles::new(u64::MAX).to_ticks(2).ticks(), u64::MAX);
+            assert_eq!(
+                DomainCycles::new(u64::MAX)
+                    .to_ticks(ClockDivisor(2))
+                    .ticks(),
+                u64::MAX
+            );
         }
     }
 
@@ -387,12 +438,21 @@ mod tests {
     fn domain_cycles_round_trip() {
         // 9 cycles of a divisor-18 (1 GHz) domain last 162 base ticks.
         let c = DomainCycles::new(9);
-        assert_eq!(c.to_ticks(18), TickDelta::from_ticks(162));
-        assert_eq!(DomainCycles::from_ticks_ceil(c.to_ticks(18), 18), c);
+        assert_eq!(c.to_ticks(ClockDivisor(18)), TickDelta::from_ticks(162));
+        assert_eq!(
+            DomainCycles::from_ticks_ceil(c.to_ticks(ClockDivisor(18)), ClockDivisor(18)),
+            c
+        );
         // A partial trailing cycle rounds up.
         let d = TickDelta::from_ticks(163);
-        assert_eq!(DomainCycles::from_ticks_ceil(d, 18).count(), 10);
-        assert_eq!(DomainCycles::ZERO.to_ticks(18), TickDelta::ZERO);
+        assert_eq!(
+            DomainCycles::from_ticks_ceil(d, ClockDivisor(18)).count(),
+            10
+        );
+        assert_eq!(
+            DomainCycles::ZERO.to_ticks(ClockDivisor(18)),
+            TickDelta::ZERO
+        );
     }
 
     #[test]

@@ -160,3 +160,48 @@ proptest! {
         prop_assert_eq!(r.stats.packets_delivered, trace.len() as u64);
     }
 }
+
+/// Every `RunStats` counter, checked on one gating + DVFS run. The
+/// destructuring names every field (no `..`), so a new counter does not
+/// compile until it is asserted here.
+#[test]
+fn every_run_stats_counter_is_checked() {
+    let trace = TraceGenerator::new(Topology::mesh8x8())
+        .with_duration_ns(2_000)
+        .generate(Benchmark::Fft);
+    let report = Network::new(NocConfig::paper(Topology::mesh8x8()))
+        .run(&trace, &mut Reactive::dozznoc())
+        .expect("run completes");
+    let dozznoc::noc::RunStats {
+        packets_injected,
+        packets_delivered,
+        flits_delivered,
+        latency_sum_ticks,
+        latency_max_ticks,
+        net_latency_sum_ticks,
+        net_latency_max_ticks,
+        net_latency_hist,
+        last_delivery,
+        mode_selections,
+        epochs,
+        secure_underflows,
+    } = report.stats;
+
+    assert!(!trace.is_empty());
+    assert_eq!(packets_injected, trace.len() as u64);
+    assert_eq!(packets_delivered, packets_injected);
+    assert_eq!(flits_delivered, flit_total(&trace));
+    // Network latency excludes NI source queueing, so it never exceeds
+    // the end-to-end latency, and neither mean exceeds its max.
+    assert!(net_latency_sum_ticks > 0);
+    assert!(latency_sum_ticks >= net_latency_sum_ticks);
+    assert!(net_latency_max_ticks > 0);
+    assert!(latency_max_ticks >= net_latency_max_ticks);
+    assert!(latency_sum_ticks <= u128::from(latency_max_ticks) * u128::from(packets_delivered));
+    assert_eq!(net_latency_hist.total(), packets_delivered);
+    // Every packet is injected at or after tick 0.
+    assert!(last_delivery.ticks() >= latency_max_ticks);
+    assert!(epochs > 0);
+    assert_eq!(mode_selections.iter().sum::<u64>(), epochs);
+    assert_eq!(secure_underflows, 0);
+}

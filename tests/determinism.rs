@@ -50,7 +50,12 @@ fn every_campaign_cell_matches_golden_run_reports() {
     let actual = serde_json::to_string_pretty(&results).expect("reports serialize");
 
     let path = golden_path();
-    if std::env::var_os("DOZZNOC_BLESS").is_some() {
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "DOZZNOC_BLESS only selects between rewriting and comparing the golden file"
+    )]
+    let bless = std::env::var_os("DOZZNOC_BLESS").is_some();
+    if bless {
         std::fs::create_dir_all(path.parent().expect("golden path has a parent"))
             .expect("create goldens dir");
         std::fs::write(&path, &actual).expect("write golden file");

@@ -2,8 +2,10 @@
 //! numbers the simulator consumes must be exactly the numbers the
 //! substrate models publish.
 
-// The published tables must agree exactly, not approximately.
-#![allow(clippy::float_cmp)]
+#![allow(
+    clippy::float_cmp,
+    reason = "the published tables must agree exactly, not approximately"
+)]
 
 use dozznoc::power::regulator::delay::RegState;
 use dozznoc::power::vf::{WORST_T_SWITCH_NS, WORST_T_WAKEUP_NS};

@@ -1,9 +1,9 @@
 //! The invariant sanitizer is purely observational: running any
 //! simulation under it must (a) report zero violations on the correct
 //! simulator and (b) produce the *bit-identical* report the unsanitized
-//! run produces. These tests also assert the RunStats counters the rest
-//! of the suite does not touch (`last_delivery`, `secure_underflows`) —
-//! `cargo xtask lint` requires every counter to be covered somewhere.
+//! run produces. These tests also assert `last_delivery` and
+//! `secure_underflows` under the sanitizer; every `RunStats` counter is
+//! checked by `tests/conservation.rs::every_run_stats_counter_is_checked`.
 
 use dozznoc::noc::SimSanitizer;
 use dozznoc::prelude::*;

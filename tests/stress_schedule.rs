@@ -39,6 +39,10 @@ fn run_indexed_keeps_slot_integrity_under_oversubscription() {
     const THREADS: u64 = 4;
     const ROUNDS: usize = 12;
 
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "concurrent callers of run_indexed are the subject of this stress test"
+    )]
     std::thread::scope(|scope| {
         for t in 0..THREADS {
             scope.spawn(move || {
