@@ -32,7 +32,7 @@
 //! ## Store format and invalidation
 //!
 //! Entries live as `<fingerprint>.json` under the store directory
-//! (`results/.runcache/` for `dozz-repro`), each a [`CachedRun`]
+//! (`results/.runcache/` for `dozz-repro`), each a `CachedRun`
 //! envelope: the fingerprint and human-readable key fields are stored
 //! alongside the report, and [`RunCache::get`] re-validates them on
 //! every hit so a 64-bit collision (or a hand-copied file) degrades to

@@ -30,50 +30,17 @@ use crate::registry::{PolicyContext, PolicyError, PolicyRegistry, PolicySpec};
 use crate::schedule;
 use crate::training::ModelSuite;
 
-/// Run one model on one trace and report.
+/// Run one paper model on one trace and report.
 pub fn run_model(cfg: NocConfig, trace: &Trace, kind: ModelKind, suite: &ModelSuite) -> RunReport {
-    run_model_with_telemetry(cfg, trace, kind, suite, &mut NullSink)
-}
-
-/// Run one model on one trace, streaming per-epoch telemetry into `tel`.
-#[allow(
-    clippy::panic,
-    reason = "driver-level escalation; a failed run invalidates the whole campaign"
-)]
-pub fn run_model_with_telemetry(
-    cfg: NocConfig,
-    trace: &Trace,
-    kind: ModelKind,
-    suite: &ModelSuite,
-    tel: &mut dyn Telemetry,
-) -> RunReport {
-    let mut policy = kind.build(suite);
-    Network::new(cfg)
-        .run_with_telemetry(trace, policy.as_mut(), tel)
-        .unwrap_or_else(|e| panic!("{kind} on {} failed: {e}", trace.name))
-}
-
-/// Run one model on one trace under a runtime invariant sanitizer (see
-/// [`dozznoc_noc::sanitizer`]): every event tick is swept for
-/// flow-control, conservation and scheduling violations, collected in
-/// `san` for [`SimSanitizer::report`]. The returned report is
-/// bit-identical to [`run_model`]'s — the sanitizer only observes.
-#[allow(
-    clippy::panic,
-    reason = "driver-level escalation; a failed run invalidates the whole campaign"
-)]
-pub fn run_model_sanitized(
-    cfg: NocConfig,
-    trace: &Trace,
-    kind: ModelKind,
-    suite: &ModelSuite,
-    tel: &mut dyn Telemetry,
-    san: &mut SimSanitizer,
-) -> RunReport {
-    let mut policy = kind.build(suite);
-    Network::new(cfg)
-        .run_sanitized(trace, policy.as_mut(), tel, san)
-        .unwrap_or_else(|e| panic!("{kind} on {} failed: {e}", trace.name))
+    run_policy_with_telemetry(
+        cfg,
+        trace,
+        &kind.spec(),
+        PolicyRegistry::global(),
+        suite,
+        &mut NullSink,
+    )
+    .expect("every paper-model default spec builds")
 }
 
 /// Run one registered policy (any [`PolicySpec`], paper model or
@@ -106,26 +73,18 @@ fn simulate(
     policy: &mut dyn PowerPolicy,
     sanitize: bool,
 ) -> (RunReport, Option<SanitizerReport>) {
-    if sanitize {
-        let mut san = SimSanitizer::default();
-        #[allow(
-            clippy::panic,
-            reason = "driver-level escalation; a failed run invalidates the whole campaign"
-        )]
-        let report = Network::new(cfg)
-            .run_sanitized(trace, policy, &mut NullSink, &mut san)
-            .unwrap_or_else(|e| panic!("policy on {} failed: {e}", trace.name));
-        (report, Some(san.report()))
-    } else {
-        #[allow(
-            clippy::panic,
-            reason = "driver-level escalation; a failed run invalidates the whole campaign"
-        )]
-        let report = Network::new(cfg)
-            .run_with_telemetry(trace, policy, &mut NullSink)
-            .unwrap_or_else(|e| panic!("policy on {} failed: {e}", trace.name));
-        (report, None)
-    }
+    let mut san = sanitize.then(SimSanitizer::default);
+    let net = Network::new(cfg);
+    let run = match san.as_mut() {
+        Some(san) => net.run_sanitized(trace, policy, san),
+        None => net.run(trace, policy),
+    };
+    #[allow(
+        clippy::panic,
+        reason = "driver-level escalation; a failed run invalidates the whole campaign"
+    )]
+    let report = run.unwrap_or_else(|e| panic!("policy on {} failed: {e}", trace.name));
+    (report, san.map(|san| san.report()))
 }
 
 /// One cell of a campaign: a model evaluated on a benchmark.
@@ -270,20 +229,6 @@ impl Campaign {
             .generate(bench);
         let (num, den) = self.load_scale;
         t.rescale(num, den)
-    }
-
-    /// The campaign's flat cell list: benchmark-major, model-minor —
-    /// the presentation order every figure prints in. Cell `i` of any
-    /// engine run corresponds to entry `i` here, which is what makes
-    /// result ordering structural instead of sorted.
-    fn cells(&self, benches: &[Benchmark]) -> Vec<(usize, Benchmark, ModelKind)> {
-        let mut cells = Vec::with_capacity(benches.len() * self.models.len());
-        for (bi, &bench) in benches.iter().enumerate() {
-            for &model in &self.models {
-                cells.push((bi, bench, model));
-            }
-        }
-        cells
     }
 
     /// Run every model over every benchmark with the default engine
@@ -477,41 +422,6 @@ impl Campaign {
                 measure: stopwatch.map(CellStopwatch::stop),
             }
         }))
-    }
-
-    /// Run every model over every benchmark, giving each
-    /// (benchmark, model) cell its own telemetry sink built by
-    /// `make_sink`. Workers own their sinks for the duration of the
-    /// cell's run; sinks return with their results in cell order
-    /// (benchmark, then model). Telemetry observes simulations, so this
-    /// path never consults the run cache.
-    pub fn run_with_telemetry<T, F>(
-        &self,
-        benches: &[Benchmark],
-        suite: &ModelSuite,
-        make_sink: F,
-    ) -> Vec<(CampaignResult, T)>
-    where
-        T: Telemetry + Send,
-        F: Fn(Benchmark, ModelKind) -> T + Sync,
-    {
-        let cfg = self.config();
-        let cells = self.cells(benches);
-        let traces: Vec<OnceLock<Arc<Trace>>> = benches.iter().map(|_| OnceLock::new()).collect();
-        schedule::run_indexed(schedule::default_jobs(), cells.len(), |i| {
-            let (bi, bench, model) = cells[i];
-            let trace = Arc::clone(traces[bi].get_or_init(|| Arc::new(self.trace(bench))));
-            let mut sink = make_sink(bench, model);
-            let report = run_model_with_telemetry(cfg, &trace, model, suite, &mut sink);
-            (
-                CampaignResult {
-                    benchmark: bench.name().to_string(),
-                    model,
-                    report,
-                },
-                sink,
-            )
-        })
     }
 }
 
@@ -811,40 +721,6 @@ mod tests {
         for run in &runs {
             assert!(run.result.report.stats.packets_delivered > 0);
         }
-    }
-
-    #[test]
-    fn campaign_telemetry_gives_each_cell_its_own_sink() {
-        use dozznoc_noc::TimelineSink;
-        let topo = Topology::mesh8x8();
-        let suite = quick_suite(topo);
-        let campaign = Campaign::new(topo)
-            .with_duration_ns(2_000)
-            .try_with_models(&[ModelKind::Baseline, ModelKind::DozzNoc])
-            .expect("non-empty model set");
-        let cells =
-            campaign.run_with_telemetry(&[Benchmark::Fft, Benchmark::Lu], &suite, |_, _| {
-                TimelineSink::new()
-            });
-        assert_eq!(cells.len(), 2 * 2);
-        for (result, sink) in &cells {
-            assert!(!sink.epochs.is_empty(), "{}: no epochs", result.model);
-            let total: f64 = sink.total_energy_j();
-            let reported = result.report.energy.static_j + result.report.energy.dynamic_with_ml_j();
-            assert!(
-                (total - reported).abs() <= 1e-9 * reported.max(1.0),
-                "{}: sink energy {total} vs report {reported}",
-                result.model
-            );
-            let end = sink.report.as_ref().expect("report captured at run end");
-            assert_eq!(
-                end.stats.packets_delivered,
-                result.report.stats.packets_delivered
-            );
-        }
-        // Sinks merged in deterministic (benchmark, model) order.
-        assert_eq!(cells[0].0.benchmark, "fft");
-        assert_eq!(cells[1].0.model, ModelKind::DozzNoc);
     }
 
     #[test]

@@ -54,8 +54,8 @@ pub mod training;
 pub use cache::{CacheStats, Fingerprint, RunCache};
 pub use collect::Collector;
 pub use experiment::{
-    run_model, run_model_sanitized, run_model_with_telemetry, run_policy_with_telemetry, Campaign,
-    CampaignResult, CellRun, EngineOptions, PolicyCellRun, PolicyResult,
+    run_model, run_policy_with_telemetry, Campaign, CampaignResult, CellRun, EngineOptions,
+    PolicyCellRun, PolicyResult,
 };
 pub use features::{extract_features, feature_value};
 pub use measure::CellMeasure;

@@ -1,22 +1,19 @@
-//! The five paper models as a closed enum — now a thin compatibility
-//! shim over the open [`PolicyRegistry`](crate::registry::PolicyRegistry).
+//! The five paper models as a closed enum — a thin compatibility shim
+//! over the open [`PolicyRegistry`].
 //!
 //! `ModelKind` predates the policy plug-in API and is serialized into
 //! campaign results, determinism goldens, CSV schemas and cache
 //! envelopes, so the enum and its serde form are frozen. Construction,
 //! name parsing (including every legacy CLI alias) and display labels
-//! all delegate to the registry; the only thing still owned here is the
+//! all belong to the registry; the only thing still owned here is the
 //! slug table, which the corresponding factories adopt as their
 //! canonical names. New policies should *not* be added here — register
 //! a [`PolicyFactory`](crate::registry::PolicyFactory) instead and work
-//! with [`PolicySpec`](crate::registry::PolicySpec)s.
+//! with [`PolicySpec`]s.
 
 use serde::{Deserialize, Serialize};
 
-use dozznoc_noc::PowerPolicy;
-
-use crate::registry::{PolicyContext, PolicyRegistry, PolicySpec};
-use crate::training::ModelSuite;
+use crate::registry::{PolicyRegistry, PolicySpec};
 
 /// The five models compared throughout §IV (Figs. 7–8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -44,14 +41,6 @@ pub const ALL_MODELS: [ModelKind; 5] = [
 ];
 
 impl ModelKind {
-    /// Instantiate the policy via the registry. The trained `suite` is
-    /// only consulted by the ML models.
-    pub fn build(&self, suite: &ModelSuite) -> Box<dyn PowerPolicy> {
-        PolicyRegistry::global()
-            .build(&self.spec(), &PolicyContext { suite })
-            .expect("every paper-model default spec builds by construction")
-    }
-
     /// The defaults-only [`PolicySpec`] equivalent of this kind — the
     /// bridge from the closed enum into the open policy API. Its slug
     /// equals [`ModelKind::slug`], so cache fingerprints agree between
@@ -60,27 +49,8 @@ impl ModelKind {
         PolicySpec::new(self.slug())
     }
 
-    /// Parse a CLI-style model name (as printed by `dozz-repro --help`).
-    /// Delegates to the registry, so every factory alias is accepted;
-    /// returns `None` both for unknown names and for registered policies
-    /// that are not paper models (use
-    /// [`PolicyRegistry::parse`](crate::registry::PolicyRegistry::parse)
-    /// to accept those too, with a listing error on failure).
-    pub fn parse(name: &str) -> Option<ModelKind> {
-        let canonical = PolicyRegistry::global().resolve(name).ok()?.name();
-        ALL_MODELS.into_iter().find(|k| k.slug() == canonical)
-    }
-
-    /// Whether this model needs trained weights.
-    pub fn uses_ml(&self) -> bool {
-        match PolicyRegistry::global().resolve(self.slug()) {
-            Ok(factory) => factory.uses_ml(),
-            Err(_) => false, // unreachable: every slug is registered
-        }
-    }
-
     /// Short lowercase name, stable for filenames and CLI round-trips
-    /// (each is accepted by [`ModelKind::parse`]).
+    /// (each is accepted by [`PolicyRegistry::parse`]).
     pub fn slug(&self) -> &'static str {
         match self {
             ModelKind::Baseline => "baseline",
@@ -110,17 +80,25 @@ impl core::fmt::Display for ModelKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::training::Trainer;
+    use crate::registry::PolicyContext;
+    use crate::training::{ModelSuite, Trainer};
     use dozznoc_ml::FeatureSet;
     use dozznoc_topology::Topology;
 
+    fn factory_uses_ml(kind: ModelKind) -> bool {
+        PolicyRegistry::global()
+            .resolve(kind.slug())
+            .expect("every paper model is registered")
+            .uses_ml()
+    }
+
     #[test]
     fn labels_and_ml_flags() {
-        assert!(!ModelKind::Baseline.uses_ml());
-        assert!(!ModelKind::PowerGated.uses_ml());
-        assert!(ModelKind::LeadDvfs.uses_ml());
-        assert!(ModelKind::DozzNoc.uses_ml());
-        assert!(ModelKind::MlTurbo.uses_ml());
+        assert!(!factory_uses_ml(ModelKind::Baseline));
+        assert!(!factory_uses_ml(ModelKind::PowerGated));
+        assert!(factory_uses_ml(ModelKind::LeadDvfs));
+        assert!(factory_uses_ml(ModelKind::DozzNoc));
+        assert!(factory_uses_ml(ModelKind::MlTurbo));
         assert_eq!(ModelKind::DozzNoc.label(), "DOZZNOC (ML+DVFS+PG)");
         assert_eq!(ALL_MODELS.len(), 5);
     }
@@ -133,32 +111,37 @@ mod tests {
             FeatureSet::Reduced5,
         );
         for kind in ALL_MODELS {
-            let p = kind.build(&suite);
+            let p = PolicyRegistry::global()
+                .build(&kind.spec(), &PolicyContext { suite: &suite })
+                .expect("paper-model default spec builds");
             let expect_gating = matches!(
                 kind,
                 ModelKind::PowerGated | ModelKind::DozzNoc | ModelKind::MlTurbo
             );
             assert_eq!(p.gating_enabled(), expect_gating, "{kind}");
-            assert_eq!(p.ml_features().is_some(), kind.uses_ml(), "{kind}");
+            assert_eq!(p.ml_features().is_some(), factory_uses_ml(kind), "{kind}");
         }
     }
 
     #[test]
-    fn parse_accepts_cli_names() {
-        assert_eq!(ModelKind::parse("baseline"), Some(ModelKind::Baseline));
-        assert_eq!(ModelKind::parse("pg"), Some(ModelKind::PowerGated));
-        assert_eq!(ModelKind::parse("lead"), Some(ModelKind::LeadDvfs));
-        assert_eq!(ModelKind::parse("DOZZNOC"), Some(ModelKind::DozzNoc));
-        assert_eq!(ModelKind::parse("turbo"), Some(ModelKind::MlTurbo));
-        assert_eq!(ModelKind::parse("nonsense"), None);
-        // Aliases come from the registry factories now.
-        assert_eq!(ModelKind::parse("power-gated"), Some(ModelKind::PowerGated));
-        assert_eq!(ModelKind::parse("lead-tau"), Some(ModelKind::LeadDvfs));
-        assert_eq!(ModelKind::parse("dvfs"), Some(ModelKind::LeadDvfs));
-        assert_eq!(ModelKind::parse("ml-turbo"), Some(ModelKind::MlTurbo));
-        // Registered non-paper policies are not ModelKinds.
-        assert_eq!(ModelKind::parse("online-ridge"), None);
-        assert_eq!(ModelKind::parse("rl-buffer"), None);
+    fn registry_parses_cli_names_to_paper_specs() {
+        let parse = |name: &str| PolicyRegistry::global().parse(name).ok();
+        assert_eq!(parse("baseline"), Some(ModelKind::Baseline.spec()));
+        assert_eq!(parse("pg"), Some(ModelKind::PowerGated.spec()));
+        assert_eq!(parse("lead"), Some(ModelKind::LeadDvfs.spec()));
+        assert_eq!(parse("DOZZNOC"), Some(ModelKind::DozzNoc.spec()));
+        assert_eq!(parse("turbo"), Some(ModelKind::MlTurbo.spec()));
+        assert_eq!(parse("nonsense"), None);
+        // Aliases come from the registry factories.
+        assert_eq!(parse("power-gated"), Some(ModelKind::PowerGated.spec()));
+        assert_eq!(parse("lead-tau"), Some(ModelKind::LeadDvfs.spec()));
+        assert_eq!(parse("dvfs"), Some(ModelKind::LeadDvfs.spec()));
+        assert_eq!(parse("ml-turbo"), Some(ModelKind::MlTurbo.spec()));
+        // Registered non-paper policies are no paper model's spec.
+        for name in ["online-ridge", "rl-buffer"] {
+            let spec = parse(name).expect("registered extension policy");
+            assert!(ALL_MODELS.iter().all(|k| k.spec() != spec), "{name}");
+        }
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! order by [`crate::registry::PolicyRegistry::builtin`].
 //!
 //! Canonical names and aliases here are the single source of truth for
-//! CLI parsing — [`crate::ModelKind::parse`] delegates to the registry,
-//! so adding an alias to a factory makes every command accept it.
+//! CLI parsing — [`PolicyRegistry::parse`](crate::registry::PolicyRegistry::parse)
+//! resolves through them, so adding an alias to a factory makes every
+//! command accept it.
 
 use dozznoc_noc::PowerPolicy;
 

@@ -2,9 +2,9 @@
 //! construction.
 //!
 //! The paper compares a closed set of five schemes, and until this
-//! module existed the code mirrored that closure: [`ModelKind`] was an
-//! enum and every experiment matched on it, so adding a policy meant
-//! editing ~10 files. The registry inverts that dependency:
+//! module existed the code mirrored that closure:
+//! [`ModelKind`](crate::ModelKind) was an enum and every experiment
+//! matched on it, so adding a policy meant editing ~10 files. The registry inverts that dependency:
 //!
 //! * a [`PolicyFactory`] names one policy (canonical slug + aliases),
 //!   documents it, and builds instances from a [`PolicySpec`];
@@ -16,8 +16,9 @@
 //!   parameterizations of one policy never collide in the
 //!   content-addressed cache.
 //!
-//! [`ModelKind`] survives as a thin compatibility shim over
-//! [`PolicyRegistry::global`]: its `parse`/`slug`/`build` delegate here,
+//! [`ModelKind`](crate::ModelKind) survives as a thin compatibility
+//! shim: its slugs are the paper factories' canonical names and
+//! [`ModelKind::spec`](crate::ModelKind::spec) bridges into this API,
 //! which keeps existing CSV schemas, CLI aliases, determinism goldens
 //! and cache fingerprints byte-stable while the rest of the system talks
 //! specs. Third-party policies register into a registry (global built-in

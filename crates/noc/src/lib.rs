@@ -49,8 +49,6 @@ pub use histogram::LatencyHistogram;
 pub use network::Network;
 pub use observation::{EpochObservation, PortClassStats};
 pub use policy::{AlwaysMode, PowerPolicy};
-pub use sanitizer::{
-    InvariantViolation, SanitizerConfig, SanitizerReport, SimSanitizer, ViolationKind,
-};
+pub use sanitizer::{InvariantViolation, SanitizerReport, SimSanitizer, ViolationKind};
 pub use stats::{RouterSummary, RunReport, RunStats, REPORT_FORMAT_VERSION};
-pub use telemetry::{DecisionTrace, EpochSample, JsonlSink, NullSink, Telemetry, TimelineSink};
+pub use telemetry::{DecisionTrace, EpochSample, NullSink, Telemetry, TimelineSink};

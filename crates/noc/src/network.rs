@@ -40,6 +40,17 @@
 //! is off; a local injection wakes the router it targets. Wake-ups pay
 //! the target mode's T-Wakeup; active-mode switches pay T-Switch;
 //! off-residencies shorter than T-Breakeven are counted as violations.
+//!
+//! ## Entry points
+//!
+//! A network runs in one of three ways, all through one loop:
+//! [`Network::run`] (plain), [`Network::run_with_telemetry`] (observed
+//! per epoch by a [`Telemetry`] sink) and [`Network::run_sanitized`]
+//! (swept every event tick by a [`SimSanitizer`]). A sanitized run's
+//! report is bit-identical to a plain one. An enabled sink settles
+//! residency billing at every epoch boundary, so an observed run's
+//! energy totals may differ from a plain run's in float-summation
+//! order only.
 
 use dozznoc_power::{
     EnergyDelta, EnergyLedger, MlOverhead, RouterEnergy, TransitionEnergy, VfTable,
@@ -58,7 +69,7 @@ use crate::buffer::VcRoute;
 use crate::config::NocConfig;
 use crate::policy::PowerPolicy;
 use crate::router::{port_class, Router};
-use crate::sanitizer::{InvariantViolation, SimSanitizer};
+use crate::sanitizer::SimSanitizer;
 use crate::stats::{RunReport, RunStats};
 use crate::telemetry::{NullSink, Telemetry};
 
@@ -71,11 +82,6 @@ pub enum SimError {
     Livelock {
         /// Flits still undelivered at abort time.
         in_flight: u64,
-    },
-    /// A fail-fast [`SimSanitizer`] detected an invariant violation.
-    Invariant {
-        /// The violation that aborted the run.
-        violation: InvariantViolation,
     },
     /// The trace was generated for a different core count than the
     /// configured topology attaches.
@@ -94,13 +100,6 @@ impl core::fmt::Display for SimError {
                 write!(
                     f,
                     "simulation hit max_ticks with {in_flight} flits in flight"
-                )
-            }
-            SimError::Invariant { violation } => {
-                write!(
-                    f,
-                    "invariant violation at tick {}: {:?}",
-                    violation.tick, violation.kind
                 )
             }
             SimError::TraceCoreMismatch {
@@ -364,7 +363,7 @@ impl Network {
     }
 
     /// Run `trace` under `policy`, streaming per-epoch observations,
-    /// power-state transitions and run lifecycle events into `tel`.
+    /// power-state transitions and the final report into `tel`.
     ///
     /// With a disabled sink ([`NullSink`], or any sink whose
     /// [`Telemetry::is_enabled`] returns `false`) this is exactly
@@ -379,21 +378,17 @@ impl Network {
     }
 
     /// Run under a [`SimSanitizer`]: every event tick's post-drain state
-    /// is swept for invariant violations, which are surfaced through
-    /// [`Telemetry::on_violation`] and collected in the sanitizer for
-    /// [`SimSanitizer::report`]. The sanitizer only reads network state,
-    /// so the returned report is bit-identical to an unsanitized run.
-    ///
-    /// With [`SimSanitizer::disabled`] (or by passing `None` internally)
-    /// the cost is one branch per event tick.
+    /// is swept for invariant violations, which are collected in the
+    /// sanitizer for [`SimSanitizer::report`]. The sanitizer only reads
+    /// network state, so the returned report is bit-identical to an
+    /// unsanitized run.
     pub fn run_sanitized(
         self,
         trace: &Trace,
         policy: &mut dyn PowerPolicy,
-        tel: &mut dyn Telemetry,
         san: &mut SimSanitizer,
     ) -> Result<RunReport, SimError> {
-        self.run_instrumented(trace, policy, tel, Some(san))
+        self.run_instrumented(trace, policy, &mut NullSink, Some(san))
     }
 
     fn run_instrumented(
@@ -403,9 +398,6 @@ impl Network {
         tel: &mut dyn Telemetry,
         mut san: Option<&mut SimSanitizer>,
     ) -> Result<RunReport, SimError> {
-        // Sanitizer fast path mirrors `tel_enabled`: one bool decides
-        // whether the per-tick sweep call exists at all.
-        let san_enabled = san.as_ref().is_some_and(|s| s.is_enabled());
         if trace.num_cores != self.topo.num_cores() {
             return Err(SimError::TraceCoreMismatch {
                 trace_cores: trace.num_cores,
@@ -419,7 +411,6 @@ impl Network {
         self.tel_enabled = tel.is_enabled();
         if self.tel_enabled {
             self.energy_prev = vec![RouterEnergy::default(); self.routers.len()];
-            tel.on_run_start(&self.cfg, policy.name(), &trace.name);
         }
 
         loop {
@@ -436,17 +427,8 @@ impl Network {
             }
 
             // Sweep invariants over the post-drain state (read-only).
-            if san_enabled {
-                if let Some(s) = san.as_deref_mut() {
-                    s.check_tick(&self, tel);
-                    if s.should_abort() {
-                        let violation = s
-                            .first_violation()
-                            .expect("fail-fast abort implies a recorded violation")
-                            .clone();
-                        return Err(SimError::Invariant { violation });
-                    }
-                }
+            if let Some(s) = san.as_deref_mut() {
+                s.check_tick(&self);
             }
 
             if next_pkt == packets.len() && self.in_flight == 0 {

@@ -3,8 +3,6 @@
 //! A [`Telemetry`] sink receives three families of callbacks from
 //! [`Network::run_with_telemetry`](crate::Network::run_with_telemetry):
 //!
-//! * **run lifecycle** — [`on_run_start`](Telemetry::on_run_start) /
-//!   [`on_run_end`](Telemetry::on_run_end) bracket the simulation;
 //! * **per epoch** — [`on_epoch`](Telemetry::on_epoch) fires at every
 //!   router's epoch boundary with the epoch observation, the mode the
 //!   policy selected, and the [`EnergyDelta`] billed since the previous
@@ -14,7 +12,9 @@
 //!   decision through [`on_decision`](Telemetry::on_decision);
 //! * **per transition** — [`on_transition`](Telemetry::on_transition)
 //!   delivers gate-off / wake-up / mode-switch events with base-tick
-//!   timestamps.
+//!   timestamps;
+//! * **run end** — [`on_run_end`](Telemetry::on_run_end) hands over the
+//!   final report.
 //!
 //! Sinks opt out of all of it by returning `false` from
 //! [`is_enabled`](Telemetry::is_enabled): the network then skips the
@@ -22,17 +22,12 @@
 //! ([`NullSink`]) costs nothing measurable (last measured by the
 //! retired Criterion `telemetry` bench).
 
-use std::io::{self, Write};
-use std::path::Path;
-
 use dozznoc_power::EnergyDelta;
 use dozznoc_types::{Mode, RouterId, TransitionEvent};
 
 use serde::{Deserialize, Serialize};
 
-use crate::config::NocConfig;
 use crate::observation::EpochObservation;
-use crate::sanitizer::InvariantViolation;
 use crate::stats::RunReport;
 
 /// The feature vector and raw prediction behind one ML policy decision.
@@ -52,9 +47,6 @@ pub trait Telemetry {
     fn is_enabled(&self) -> bool {
         true
     }
-
-    /// The run is starting under `cfg`, driven by `policy` on `trace`.
-    fn on_run_start(&mut self, _cfg: &NocConfig, _policy: &str, _trace: &str) {}
 
     /// `router` crossed an epoch boundary: `obs` is the epoch just
     /// ended, `selected` the policy's mode for the next epoch, `energy`
@@ -77,13 +69,6 @@ pub trait Telemetry {
     /// A router changed power state.
     fn on_transition(&mut self, _event: &TransitionEvent) {}
 
-    /// The runtime sanitizer detected an invariant violation. Fires
-    /// regardless of [`is_enabled`](Telemetry::is_enabled): violations
-    /// are correctness signals, not profiling data, so a disabled sink
-    /// still hears about them (the default no-op drops them for sinks
-    /// that do not care).
-    fn on_violation(&mut self, _violation: &InvariantViolation) {}
-
     /// The run finished; `report` is what `run` is about to return.
     fn on_run_end(&mut self, _report: &RunReport) {}
 }
@@ -95,119 +80,6 @@ pub struct NullSink;
 impl Telemetry for NullSink {
     fn is_enabled(&self) -> bool {
         false
-    }
-}
-
-/// Streaming sink: one JSON object per line (JSONL) per event.
-///
-/// Record shapes (all carry an `"event"` discriminator):
-///
-/// ```text
-/// {"event":"run_start","policy":…,"trace":…,"config":{…}}
-/// {"event":"epoch","router":…,"selected":…,"observation":{…},"energy":{…}}
-/// {"event":"decision","router":…,"features":[…],"predicted_ibu":…,"selected":…}
-/// {"event":"transition","at":…,"router":…,"kind":…}
-/// {"event":"run_end","report":{…}}
-/// ```
-#[derive(Debug)]
-pub struct JsonlSink<W: Write> {
-    out: W,
-    records: u64,
-}
-
-impl JsonlSink<io::BufWriter<std::fs::File>> {
-    /// Stream records to a file at `path` (created/truncated, buffered).
-    pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
-        Ok(JsonlSink::new(io::BufWriter::new(std::fs::File::create(
-            path,
-        )?)))
-    }
-}
-
-impl<W: Write> JsonlSink<W> {
-    /// Stream records into `out`.
-    pub fn new(out: W) -> Self {
-        JsonlSink { out, records: 0 }
-    }
-
-    /// Records written so far.
-    pub fn records_written(&self) -> u64 {
-        self.records
-    }
-
-    /// Flush and recover the writer.
-    pub fn into_inner(mut self) -> W {
-        self.out.flush().expect("telemetry flush");
-        self.out
-    }
-
-    fn write_record(&mut self, v: serde_json::Value) {
-        // A telemetry sink has no way to surface IO errors mid-run;
-        // failing loudly beats silently truncated timelines.
-        writeln!(self.out, "{v}").expect("telemetry write");
-        self.records += 1;
-    }
-}
-
-impl<W: Write> Telemetry for JsonlSink<W> {
-    fn on_run_start(&mut self, cfg: &NocConfig, policy: &str, trace: &str) {
-        self.write_record(serde_json::json!({
-            "event": "run_start",
-            "policy": policy,
-            "trace": trace,
-            "config": serde_json::to_value(cfg),
-        }));
-    }
-
-    fn on_epoch(
-        &mut self,
-        router: RouterId,
-        obs: &EpochObservation,
-        selected: Mode,
-        energy: &EnergyDelta,
-    ) {
-        self.write_record(serde_json::json!({
-            "event": "epoch",
-            "router": router.idx(),
-            "epoch": obs.epoch,
-            "selected": serde_json::to_value(&selected),
-            "observation": serde_json::to_value(obs),
-            "energy": serde_json::to_value(energy),
-        }));
-    }
-
-    fn on_decision(&mut self, router: RouterId, decision: &DecisionTrace, selected: Mode) {
-        self.write_record(serde_json::json!({
-            "event": "decision",
-            "router": router.idx(),
-            "features": serde_json::to_value(&decision.features),
-            "predicted_ibu": decision.predicted_ibu,
-            "selected": serde_json::to_value(&selected),
-        }));
-    }
-
-    fn on_transition(&mut self, event: &TransitionEvent) {
-        self.write_record(serde_json::json!({
-            "event": "transition",
-            "at": event.at.ticks(),
-            "router": event.router.idx(),
-            "kind": serde_json::to_value(&event.kind),
-        }));
-    }
-
-    fn on_violation(&mut self, violation: &InvariantViolation) {
-        self.write_record(serde_json::json!({
-            "event": "violation",
-            "violation": serde_json::to_value(violation),
-        }));
-    }
-
-    fn on_run_end(&mut self, report: &RunReport) {
-        self.write_record(serde_json::json!({
-            "event": "run_end",
-            "report": serde_json::to_value(report),
-        }));
-        self.out.flush().expect("telemetry flush");
     }
 }
 
@@ -256,9 +128,6 @@ pub struct TimelineSink {
     pub epochs: Vec<EpochSample>,
     /// Every power-state transition, in emission order.
     pub transitions: Vec<TransitionEvent>,
-    /// Every sanitizer violation, in emission order (empty unless the
-    /// run executed under an enabled [`SimSanitizer`](crate::SimSanitizer)).
-    pub violations: Vec<InvariantViolation>,
     /// The final report, filled in at run end.
     pub report: Option<RunReport>,
 }
@@ -267,11 +136,6 @@ impl TimelineSink {
     /// An empty timeline.
     pub fn new() -> Self {
         TimelineSink::default()
-    }
-
-    /// This router's epochs, in time order.
-    pub fn router_timeline(&self, router: RouterId) -> impl Iterator<Item = &EpochSample> {
-        self.epochs.iter().filter(move |s| s.router == router)
     }
 
     /// Total flits injected across all recorded epochs.
@@ -317,10 +181,6 @@ impl Telemetry for TimelineSink {
         self.transitions.push(*event);
     }
 
-    fn on_violation(&mut self, violation: &InvariantViolation) {
-        self.violations.push(violation.clone());
-    }
-
     fn on_run_end(&mut self, report: &RunReport) {
         self.report = Some(report.clone());
     }
@@ -329,13 +189,11 @@ impl Telemetry for TimelineSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dozznoc_types::{SimTime, TransitionKind};
 
     #[test]
     fn null_sink_is_disabled() {
         assert!(!NullSink.is_enabled());
         assert!(TimelineSink::new().is_enabled());
-        assert!(JsonlSink::new(Vec::new()).is_enabled());
     }
 
     #[test]
@@ -366,53 +224,13 @@ mod tests {
         );
         sink.on_epoch(RouterId(0), &obs(0, 0.0), Mode::M5, &EnergyDelta::default());
         assert_eq!(sink.epochs.len(), 3);
-        assert_eq!(sink.router_timeline(RouterId(0)).count(), 2);
         assert_eq!(sink.total_injected(), 50 + 25);
-        let modes: Vec<Mode> = sink.router_timeline(RouterId(0)).map(|s| s.mode).collect();
+        let modes: Vec<Mode> = sink
+            .epochs
+            .iter()
+            .filter(|s| s.router == RouterId(0))
+            .map(|s| s.mode)
+            .collect();
         assert_eq!(modes, vec![Mode::M7, Mode::M5]);
-    }
-
-    #[test]
-    fn jsonl_sink_writes_one_line_per_event() {
-        let mut sink = JsonlSink::new(Vec::new());
-        sink.on_epoch(
-            RouterId(3),
-            &EpochObservation {
-                router: RouterId(3),
-                cycles: 500,
-                ..Default::default()
-            },
-            Mode::M6,
-            &EnergyDelta {
-                static_j: 1e-9,
-                ..Default::default()
-            },
-        );
-        sink.on_transition(&TransitionEvent {
-            at: SimTime::from_ticks(42),
-            router: RouterId(3),
-            kind: TransitionKind::GateOff,
-        });
-        sink.on_decision(
-            RouterId(3),
-            &DecisionTrace {
-                features: vec![1.0, 0.5],
-                predicted_ibu: 0.25,
-            },
-            Mode::M6,
-        );
-        assert_eq!(sink.records_written(), 3);
-        let text = String::from_utf8(sink.into_inner()).expect("records are UTF-8");
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
-        // Every line parses back and carries its discriminator.
-        let v: serde_json::Value = serde_json::from_str(lines[0]).expect("line 0 parses");
-        assert_eq!(v["event"].as_str(), Some("epoch"));
-        assert_eq!(v["router"].as_u64(), Some(3));
-        let t: serde_json::Value = serde_json::from_str(lines[1]).expect("line 1 parses");
-        assert_eq!(t["event"].as_str(), Some("transition"));
-        assert_eq!(t["at"].as_u64(), Some(42));
-        let d: serde_json::Value = serde_json::from_str(lines[2]).expect("line 2 parses");
-        assert_eq!(d["predicted_ibu"].as_f64(), Some(0.25));
     }
 }

@@ -48,20 +48,19 @@ pub use dozznoc_types as types;
 /// Everything a typical experiment needs, importable in one line.
 pub mod prelude {
     pub use dozznoc_core::{
-        run_model, run_model_sanitized, run_model_with_telemetry, run_policy_with_telemetry,
-        Adaptive, Baseline, CacheStats, Campaign, CellRun, Collector, EngineOptions, Fingerprint,
-        ModelKind, ModelSuite, Oracle, PolicyCellRun, PolicyContext, PolicyError, PolicyFactory,
-        PolicyRegistry, PolicyResult, PolicySpec, PowerGated, Proactive, Reactive, RlBuffer,
-        RunCache, Trainer,
+        run_model, run_policy_with_telemetry, Adaptive, Baseline, CacheStats, Campaign, CellRun,
+        Collector, EngineOptions, Fingerprint, ModelKind, ModelSuite, Oracle, PolicyCellRun,
+        PolicyContext, PolicyError, PolicyFactory, PolicyRegistry, PolicyResult, PolicySpec,
+        PowerGated, Proactive, Reactive, RlBuffer, RunCache, Trainer,
     };
     pub use dozznoc_ml::{
         mode_of_utilization, mode_selection_accuracy, Dataset, FeatureSet, RidgeRegression,
         TrainedModel,
     };
     pub use dozznoc_noc::{
-        AlwaysMode, DecisionTrace, EpochObservation, EpochSample, InvariantViolation, JsonlSink,
-        Network, NocConfig, NullSink, PowerPolicy, RunReport, SanitizerConfig, SanitizerReport,
-        SimSanitizer, Telemetry, TimelineSink, ViolationKind,
+        AlwaysMode, DecisionTrace, EpochObservation, EpochSample, InvariantViolation, Network,
+        NocConfig, NullSink, PowerPolicy, RunReport, SanitizerReport, SimSanitizer, Telemetry,
+        TimelineSink, ViolationKind,
     };
     pub use dozznoc_power::{
         DsentCosts, EnergyDelta, EnergyLedger, EnergyReport, MlOverhead, SimoRegulator,

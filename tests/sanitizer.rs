@@ -27,7 +27,7 @@ fn sanitized_run_report_equals_plain_run_report() {
 
         let mut san = SimSanitizer::default();
         let sanitized = Network::new(NocConfig::paper(topo))
-            .run_sanitized(&trace, &mut Reactive::dozznoc(), &mut NullSink, &mut san)
+            .run_sanitized(&trace, &mut Reactive::dozznoc(), &mut san)
             .expect("sanitized run completes");
 
         assert_eq!(san.violation_count(), 0, "violations on {topo:?}");
@@ -39,56 +39,50 @@ fn sanitized_run_report_equals_plain_run_report() {
     }
 }
 
-/// Same property through the experiment API with a trained ML policy —
-/// the heaviest machinery (epoch decisions, mode switches, gating) all
-/// active, still zero violations and identical reports.
+/// Same property through the campaign engine with a trained ML policy —
+/// the path `dozz-repro check` and `dozz-bench` take. The heaviest
+/// machinery (epoch decisions, mode switches, gating) is all active,
+/// still zero violations and an identical report.
 #[test]
 fn sanitized_ml_campaign_cell_is_clean_and_identical() {
     let topo = Topology::mesh8x8();
     let trainer = Trainer::new(topo).with_duration_ns(2_000);
     let suite = ModelSuite::train(&trainer, FeatureSet::Reduced5);
-    let trace = short_trace(topo, Benchmark::Lu);
+    let traces = [short_trace(topo, Benchmark::Lu)];
+    let campaign = Campaign::new(topo);
+    let run = |sanitize: bool| {
+        let opts = EngineOptions {
+            sanitize,
+            ..Default::default()
+        };
+        campaign
+            .run_trace_cells(
+                &traces,
+                &[ModelKind::DozzNoc.spec()],
+                &suite,
+                PolicyRegistry::global(),
+                &opts,
+            )
+            .expect("dozznoc is registered")
+            .remove(0)
+    };
 
-    let plain = run_model(NocConfig::paper(topo), &trace, ModelKind::DozzNoc, &suite);
-
-    let mut san = SimSanitizer::default();
-    let sanitized = run_model_sanitized(
-        NocConfig::paper(topo),
-        &trace,
-        ModelKind::DozzNoc,
-        &suite,
-        &mut NullSink,
-        &mut san,
-    );
-
-    let report = san.report();
+    let plain = run(false);
+    let sanitized = run(true);
+    assert!(plain.sanitizer.is_none());
+    let report = sanitized
+        .sanitizer
+        .expect("sanitized cell carries a report");
     assert_eq!(report.total_violations, 0, "{:?}", report.violations);
-    assert_eq!(plain.stats, sanitized.stats);
+    assert!(report.sweeps > 0, "sanitizer never swept");
+    let json = |r: &RunReport| serde_json::to_string(r).expect("report serializes");
+    assert_eq!(json(&plain.result.report), json(&sanitized.result.report));
 
     // Counters the sanitizer's conservation sweep cross-checks: the last
     // delivery can never postdate the drain tick, and a correct simulator
     // never releases a secure reference it did not take.
-    assert!(sanitized.stats.last_delivery <= sanitized.finished_at);
-    assert_eq!(sanitized.stats.secure_underflows, 0);
-    assert!(sanitized.stats.packets_injected >= sanitized.stats.packets_delivered);
-}
-
-/// A disabled sanitizer must not sweep at all — the zero-cost-when-off
-/// contract the determinism goldens rely on.
-#[test]
-fn disabled_sanitizer_never_sweeps() {
-    let topo = Topology::mesh8x8();
-    let trace = short_trace(topo, Benchmark::Radix);
-    let mut san = SimSanitizer::disabled();
-    let report = Network::new(NocConfig::paper(topo))
-        .run_sanitized(
-            &trace,
-            &mut AlwaysMode::new(Mode::M7),
-            &mut NullSink,
-            &mut san,
-        )
-        .expect("run completes");
-    assert_eq!(san.sweeps(), 0);
-    assert_eq!(san.violation_count(), 0);
-    assert!(report.stats.packets_delivered > 0);
+    let stats = &sanitized.result.report.stats;
+    assert!(stats.last_delivery <= sanitized.result.report.finished_at);
+    assert_eq!(stats.secure_underflows, 0);
+    assert!(stats.packets_injected >= stats.packets_delivered);
 }

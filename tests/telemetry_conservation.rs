@@ -26,13 +26,15 @@ fn per_epoch_flit_events_sum_to_run_totals() {
             .generate(bench);
         let expected_injected = total_flits(&trace);
         let mut sink = TimelineSink::new();
-        let report = run_model_with_telemetry(
+        let report = run_policy_with_telemetry(
             NocConfig::paper(topo),
             &trace,
-            ModelKind::Baseline,
+            &ModelKind::Baseline.spec(),
+            PolicyRegistry::global(),
             &suite,
             &mut sink,
-        );
+        )
+        .expect("baseline is registered");
         assert_eq!(
             sink.total_injected(),
             expected_injected,
@@ -59,13 +61,15 @@ fn per_epoch_energy_sums_to_ledger_totals() {
         .with_duration_ns(DUR_NS)
         .generate(Benchmark::Fft);
     let mut sink = TimelineSink::new();
-    let report = run_model_with_telemetry(
+    let report = run_policy_with_telemetry(
         NocConfig::paper(topo),
         &trace,
-        ModelKind::DozzNoc,
+        &ModelKind::DozzNoc.spec(),
+        PolicyRegistry::global(),
         &suite,
         &mut sink,
-    );
+    )
+    .expect("dozznoc is registered");
     let total = sink.total_energy_j();
     let reported = report.energy.static_j + report.energy.dynamic_with_ml_j();
     assert!(
@@ -86,7 +90,15 @@ fn observing_a_run_does_not_change_it() {
     let cfg = NocConfig::paper(topo);
     let plain = run_model(cfg, &trace, ModelKind::DozzNoc, &suite);
     let mut sink = TimelineSink::new();
-    let observed = run_model_with_telemetry(cfg, &trace, ModelKind::DozzNoc, &suite, &mut sink);
+    let observed = run_policy_with_telemetry(
+        cfg,
+        &trace,
+        &ModelKind::DozzNoc.spec(),
+        PolicyRegistry::global(),
+        &suite,
+        &mut sink,
+    )
+    .expect("dozznoc is registered");
     assert_eq!(plain.stats, observed.stats);
     assert_eq!(plain.finished_at, observed.finished_at);
     // Residency is settled in more pieces when observed, so energy may
