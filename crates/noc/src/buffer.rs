@@ -195,7 +195,7 @@ impl InputPort {
         self.vcs
             .iter()
             .position(VcBuffer::can_accept_new_packet)
-            .map(|i| i as u8)
+            .and_then(|i| u8::try_from(i).ok())
     }
 
     /// Iterate over `(vc index, buffer)`.

@@ -10,7 +10,9 @@ use dozznoc_types::{ConfigError, MIN_EPOCH_CYCLES};
 pub struct NocConfig {
     /// Network topology.
     pub topology: Topology,
-    /// Virtual channels per input port.
+    /// Virtual channels per input port. A router's input VCs (ports ×
+    /// VCs per port) must number at most 64: the pipeline tracks the
+    /// occupied ones in a 64-bit mask.
     pub vcs_per_port: usize,
     /// Flit capacity of one VC buffer.
     pub vc_depth: usize,

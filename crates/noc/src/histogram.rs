@@ -59,6 +59,10 @@ impl LatencyHistogram {
         if self.total == 0 {
             return 0;
         }
+        #[allow(
+            clippy::cast_possible_truncation,
+            reason = "p ∈ [0, 1], so the rank is a whole number in [1, total]"
+        )]
         let rank = (p * self.total as f64).ceil().max(1.0) as u64;
         let mut seen = 0u64;
         for (bucket, &c) in self.counts.iter().enumerate() {

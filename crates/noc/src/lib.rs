@@ -35,6 +35,7 @@
 
 pub mod buffer;
 pub mod config;
+mod event_queue;
 pub mod histogram;
 pub mod network;
 pub mod observation;

@@ -2,14 +2,33 @@
 //!
 //! ## Tick discipline
 //!
-//! The global clock advances in base ticks (18 GHz). Each router fires a
-//! local cycle when the tick counter reaches its `next_cycle_at`, then
-//! re-arms `divisor()` ticks later — so a router at 1 GHz fires every 18
-//! ticks, one at 2.25 GHz every 8. All flit movement happens inside the
+//! The global clock advances in base ticks (18 GHz). Each router's local
+//! cycles fall on a grid `divisor()` ticks apart — every 18 ticks at
+//! 1 GHz, every 8 at 2.25 GHz. All flit movement happens inside the
 //! *upstream* router's cycle, which is what makes hop latency follow the
 //! sender's frequency (§III-A). A flit that lands in a downstream buffer
 //! carries `ready_at = tick + lookahead_ticks`, so it can never traverse
 //! two routers within one base tick regardless of router iteration order.
+//!
+//! ## Quiescent routers sleep
+//!
+//! A router fires when the tick counter reaches its `next_cycle_at`. A
+//! busy router re-arms at its next grid tick. A *quiescent* one — gated
+//! off, waking, or active with empty buffers and empty NI queues — would
+//! only count idle cycles there, so it sleeps instead: it re-arms at the
+//! first grid tick at which it could do anything else (its next epoch
+//! boundary, its wake-up deadline, or the cycle T-Idle and the T-Switch
+//! stall would let it gate off). The cycles it skips are accounted in
+//! closed form (`Router::skip_idle_cycles`) when it next fires, when a
+//! cross-router effect or an admission reaches it (which also wakes it
+//! onto its grid), and at the end of the run. All of that is integer
+//! arithmetic, so a run's report is bit-identical to firing every cycle:
+//! epoch decisions, gate-offs and wake-up completions stay real firings
+//! at the same tick and in the same router-index order, and a run that
+//! exhausts `max_ticks` stops on the tick where firing every cycle
+//! would have stopped. Deadlines live in an event queue that pops
+//! the earliest `(tick, router)` and re-keys a router in `O(log n)`,
+//! so waking and re-sleeping leave nothing stale behind.
 //!
 //! ## End-of-tick application
 //!
@@ -62,11 +81,11 @@ use dozznoc_types::{
     TransitionEvent, TransitionKind,
 };
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::buffer::VcRoute;
 use crate::config::NocConfig;
+use crate::event_queue::EventQueue;
 use crate::policy::PowerPolicy;
 use crate::router::{port_class, Router};
 use crate::sanitizer::SimSanitizer;
@@ -128,25 +147,25 @@ enum Effect {
     /// Admission-time wake punch along a packet's XY path.
     Punch {
         /// Target router index.
-        router: u32,
+        router: usize,
     },
     /// Downstream-secure reference taken at route compute (wakes a
     /// gated target).
     Secure {
         /// Target router index.
-        router: u32,
+        router: usize,
     },
     /// Release of a downstream-secure reference (the tail departed).
     Unsecure {
         /// Target router index.
-        router: u32,
+        router: usize,
     },
     /// A flit crossing a link into a downstream router's input VC.
     Transfer {
         /// Downstream router index.
-        dst: u32,
+        dst: usize,
         /// Input-port index at the downstream router.
-        port: u8,
+        port: usize,
         /// VC index within that port.
         vc: u8,
         /// The flit itself.
@@ -154,6 +173,12 @@ enum Effect {
         /// Earliest tick the flit may move on downstream.
         ready_at: u64,
     },
+}
+
+/// Index of `flit`'s packet in the per-packet arrays (packet ids are
+/// dense trace positions).
+fn packet_index(flit: Flit) -> usize {
+    usize::try_from(flit.packet.0).expect("packet ids index the trace")
 }
 
 /// Settled per-router metadata (state as of the end of the previous
@@ -206,27 +231,21 @@ pub struct Network {
     /// Ledger snapshot at each router's previous epoch boundary
     /// (allocated only when telemetry is enabled).
     energy_prev: Vec<RouterEnergy>,
-    /// Next-event schedule: a min-heap of `(next_cycle_at, router
-    /// index)` with lazy deletion. Invariants:
-    ///
-    /// * every router's current `next_cycle_at` has an entry in the
-    ///   heap (entries are pushed on every assignment that could lower
-    ///   or re-arm it);
-    /// * an entry whose tick no longer matches the router's
-    ///   `next_cycle_at` is stale and is discarded on pop;
-    /// * ties pop in router-index order (`Reverse<(tick, idx)>`), which
-    ///   keeps same-tick firing order identical to a linear index scan.
-    ///
-    /// This replaces an O(n) min-scan over all routers per event with
-    /// O(log n) per firing, and stays correct when `begin_wakeup` pulls
-    /// a router's `next_cycle_at` *earlier* than its scheduled entry.
-    pub(crate) sched: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Next-event schedule: every router's `next_cycle_at`, earliest
+    /// first, ties in router-index order — the order a linear index scan
+    /// would fire them in. Every assignment of a `next_cycle_at` goes
+    /// through [`Network::arm`], which re-keys the router here in
+    /// `O(log n)`, earlier (a wake) or later (a sleep) alike.
+    pub(crate) sched: EventQueue,
     /// Switch-allocation scratch: candidate input slots bucketed by
     /// output port (flattened `n_ports × n_slots`), reused every cycle
     /// so the allocator never allocates.
     sa_cand: Vec<usize>,
     /// Number of live candidates per output-port bucket in `sa_cand`.
     sa_cand_len: Vec<usize>,
+    /// The policy's [`PowerPolicy::gating_enabled`], read once per run:
+    /// the sleep bound of an idle active router depends on it.
+    gating: bool,
     /// Dump router state on livelock (the `DOZZNOC_DUMP_ON_LIVELOCK`
     /// env var, read once at construction: the engine region itself
     /// must stay free of ambient process state — determinism-taint
@@ -245,7 +264,7 @@ pub struct Network {
     /// Routers whose snapshot is stale (fired or was a settle target).
     dirty: Vec<bool>,
     /// Dense list backing `dirty`.
-    dirty_list: Vec<u32>,
+    dirty_list: Vec<usize>,
 }
 
 impl Network {
@@ -260,6 +279,10 @@ impl Network {
             "lookahead_ticks must be ≥ 1 (use NocConfig::try_with_lookahead_ticks)"
         );
         let topo = cfg.topology;
+        assert!(
+            topo.ports_per_router() * cfg.vcs_per_port <= 64,
+            "a router's input VCs must fit a 64-bit slot mask"
+        );
         let n = topo.num_routers();
         let mut net = Network {
             cfg,
@@ -281,13 +304,14 @@ impl Network {
             events: Vec::new(),
             energy_prev: Vec::new(),
             // Every router starts with next_cycle_at == 0.
-            sched: (0..n as u32).map(|i| Reverse((0u64, i))).collect(),
+            sched: EventQueue::new(n, 0),
             sa_cand: {
                 let n_ports = topo.ports_per_router();
                 let n_slots = n_ports * cfg.vcs_per_port;
                 vec![0; n_ports * n_slots]
             },
             sa_cand_len: vec![0; topo.ports_per_router()],
+            gating: false,
             #[allow(
                 clippy::disallowed_methods,
                 reason = "read once at construction, before any simulation state exists; the flag \
@@ -408,6 +432,7 @@ impl Network {
         self.net_entry = vec![u64::MAX; packets.len()];
         let mut next_pkt = 0usize;
         let ml_overhead = policy.ml_features().map(MlOverhead::for_features);
+        self.gating = policy.gating_enabled();
         self.tel_enabled = tel.is_enabled();
         if self.tel_enabled {
             self.energy_prev = vec![RouterEnergy::default(); self.routers.len()];
@@ -443,18 +468,26 @@ impl Network {
                 });
             }
 
-            // Jump straight to the next event: the earliest live router
-            // cycle (draining stale heap tops on the way) or the next
-            // packet injection.
+            // Jump straight to the next event: the earliest router cycle
+            // or the next packet injection — but never past the tick the
+            // tick budget expires on, which a sleeping router's grid may
+            // hit first.
             let mut next = self.local_next_event();
             if next_pkt < packets.len() {
                 next = next.min(packets[next_pkt].inject_time.ticks());
+            }
+            if next > self.cfg.max_ticks {
+                next = next.min(self.first_grid_tick_from(self.cfg.max_ticks));
             }
             debug_assert!(next > self.now, "time must advance");
             self.now = next;
         }
 
-        // Flush residual residency into the ledger.
+        // Account every cycle slept through up to the final tick, then
+        // flush residual residency into the ledger.
+        for i in 0..self.routers.len() {
+            self.catch_up(i, self.now + 1);
+        }
         self.flush_residency();
 
         // Flush each router's final partial epoch to the sink so
@@ -516,6 +549,11 @@ impl Network {
             for f in p.flits() {
                 self.inject[p.src.idx()].push_back(f);
             }
+            // A non-empty NI queue ends an idle active router's sleep. The
+            // home router has not fired yet this tick, so it wakes onto
+            // its first grid tick at or after `now`.
+            let home = self.topo.router_of_core(p.src).idx();
+            self.wake(home, self.now);
             // Power Punch-style wake punching: the packet's XY path is
             // fully determined at injection, so wake signals race ahead
             // of it and gated routers charge up while the packet is
@@ -525,16 +563,12 @@ impl Network {
             // compute.)
             if self.cfg.wake_punch {
                 let path = self.xy.path(p.src, p.dst);
-                self.outbox.extend(path.iter().map(|hop| Effect::Punch {
-                    router: hop.idx() as u32,
-                }));
+                self.outbox
+                    .extend(path.iter().map(|hop| Effect::Punch { router: hop.idx() }));
             } else {
                 // Ablation: only the home router wakes at injection;
                 // downstream routers wait for the one-hop look-ahead.
-                let home = self.topo.router_of_core(p.src).idx();
-                self.outbox.push(Effect::Punch {
-                    router: home as u32,
-                });
+                self.outbox.push(Effect::Punch { router: home });
             }
             *next_pkt += 1;
         }
@@ -542,34 +576,124 @@ impl Network {
 
     /// Fire every router whose local cycle lands on this tick.
     ///
-    /// Same-tick entries pop in router-index order; a popped entry that
-    /// no longer matches the router's `next_cycle_at` is stale (the
-    /// router re-armed, or a wake-up pulled it earlier) and is dropped.
-    /// A firing router's re-arm lands strictly in the future, so this
-    /// drain terminates.
+    /// Routers due on the same tick fire in router-index order. A firing
+    /// router's re-arm lands strictly in the future, so this drain
+    /// terminates. Before it steps, a router accounts the idle
+    /// cycles it slept through; after, it re-arms at its next grid tick
+    /// or sleeps ([`Network::next_cycle`]).
     fn fire(
         &mut self,
         policy: &mut dyn PowerPolicy,
         ml_overhead: Option<&MlOverhead>,
         tel: &mut dyn Telemetry,
     ) {
-        while let Some(&Reverse((t, idx))) = self.sched.peek() {
-            let i = idx as usize;
-            if self.routers[i].next_cycle_at != t {
-                self.sched.pop();
-                continue;
-            }
+        loop {
+            let (t, i) = self.sched.peek();
             if t > self.now {
                 break;
             }
             debug_assert_eq!(t, self.now, "router cycle slipped past the clock");
-            self.sched.pop();
-            self.mark_dirty(idx);
+            self.mark_dirty(i);
+            self.catch_up(i, self.now);
             self.step_router(i, policy, ml_overhead, tel);
-            let r = &mut self.routers[i];
-            r.next_cycle_at = self.now + r.divisor().cycle_ticks();
-            self.sched.push(Reverse((r.next_cycle_at, idx)));
+            let next = self.next_cycle(i);
+            self.routers[i].cycle_origin = self.now;
+            self.arm(i, next);
         }
+    }
+
+    /// Set router `i`'s next local cycle, keeping the schedule in step.
+    fn arm(&mut self, i: usize, tick: u64) {
+        self.routers[i].next_cycle_at = tick;
+        self.sched.set(i, tick);
+    }
+
+    /// Tick of router `i`'s next local cycle, right after it fired at
+    /// `now`: the next grid tick, unless the router is quiescent — gated
+    /// off, waking, or active with empty buffers and empty NI queues.
+    /// Then every cycle before some later grid tick would only count an
+    /// idle cycle, and the router sleeps until the earliest of
+    ///
+    /// * its next epoch boundary (every state: epochs are real firings);
+    /// * while waking, the first cycle at or after the wake-up deadline;
+    /// * while active and gate-eligible apart from T-Idle and the
+    ///   T-Switch stall, the first cycle at which both have passed.
+    ///
+    /// Everything else that could end a sleep — a flit, a secure or
+    /// unsecure, a wake punch on a gated router, an NI admission — comes
+    /// from outside and wakes the router explicitly ([`Network::wake`]).
+    /// The gating bound relies on `gating` being constant for the run.
+    fn next_cycle(&self, i: usize) -> u64 {
+        let r = &self.routers[i];
+        let div = r.divisor().cycle_ticks();
+        let cycles_to = |tick: u64| tick.saturating_sub(self.now).div_ceil(div).max(1);
+        let to_epoch = self
+            .cfg
+            .epoch_cycles
+            .saturating_sub(r.cycles_into_epoch)
+            .max(1);
+        let cycles = match r.state {
+            _ if r.buffered_flits > 0 => 1,
+            PowerState::Inactive => to_epoch,
+            PowerState::Wakeup { until, .. } => to_epoch.min(cycles_to(until.ticks())),
+            PowerState::Active(_) if self.ni_pending(i) => 1,
+            PowerState::Active(_) if self.gating && self.secured[i] == 0 => {
+                let idle = self.cfg.t_idle.saturating_sub(r.idle_streak);
+                to_epoch.min(idle.max(cycles_to(r.stall_until)))
+            }
+            PowerState::Active(_) => to_epoch,
+        };
+        self.now + cycles * div
+    }
+
+    /// True when a core attached to router `i` has a flit queued in its NI.
+    fn ni_pending(&self, i: usize) -> bool {
+        let conc = self.topo.concentration();
+        self.inject[i * conc..(i + 1) * conc]
+            .iter()
+            .any(|q| !q.is_empty())
+    }
+
+    /// Account, in closed form, every idle cycle router `i` slept through
+    /// on a grid tick before `before` (and before its live deadline).
+    fn catch_up(&mut self, i: usize, before: u64) {
+        let secured = self.secured[i] > 0;
+        let r = &mut self.routers[i];
+        let div = r.divisor().cycle_ticks();
+        let before = before.min(r.next_cycle_at);
+        if before > r.cycle_origin + div {
+            let k = (before - r.cycle_origin - 1) / div;
+            r.skip_idle_cycles(k, secured);
+            r.cycle_origin += k * div;
+        }
+    }
+
+    /// Wake router `i` onto its grid: account the idle cycles before
+    /// `from`, then re-arm at the first grid tick at or after `from`
+    /// if that is earlier than its deadline. Settle-phase effects pass
+    /// `now + 1` (the router's cycle at `now`, if any, already fired in
+    /// the fire phase); admission passes `now` (it runs before firing).
+    fn wake(&mut self, i: usize, from: u64) {
+        self.catch_up(i, from);
+        let r = &self.routers[i];
+        let next = r.cycle_origin + r.divisor().cycle_ticks();
+        if next < r.next_cycle_at {
+            self.arm(i, next);
+        }
+    }
+
+    /// The first tick at or after `tick` on any router's grid: where a
+    /// network firing every router every cycle would next stop. Only
+    /// called when every live deadline lies beyond `tick`.
+    fn first_grid_tick_from(&self, tick: u64) -> u64 {
+        self.routers
+            .iter()
+            .map(|r| {
+                let div = r.divisor().cycle_ticks();
+                r.cycle_origin + tick.saturating_sub(r.cycle_origin).div_ceil(div) * div
+            })
+            .min()
+            .unwrap_or(tick)
     }
 
     /// Apply this tick's deferred effects in emission order, then
@@ -584,24 +708,31 @@ impl Network {
         self.rebuild_dirty_snaps();
     }
 
-    /// Apply one deferred effect against live state.
+    /// Apply one deferred effect against live state. A sleeping target
+    /// first wakes onto its grid ([`Network::wake`]): it accounts the
+    /// idle cycles the fire phase would have given it, and its deadline
+    /// is back at its next grid tick before the effect reads it.
     fn apply(&mut self, effect: Effect) {
         match effect {
+            // A punch on a router that is not gated changes nothing its
+            // sleep bound reads, so only a gated target wakes.
             Effect::Punch { router } => {
-                let r = router as usize;
-                if self.routers[r].state.is_inactive() {
-                    self.begin_wakeup(r);
+                if self.routers[router].state.is_inactive() {
+                    self.wake(router, self.now + 1);
+                    self.begin_wakeup(router);
                 }
                 self.mark_dirty(router);
             }
             Effect::Secure { router } => {
-                self.secure(router as usize);
+                self.wake(router, self.now + 1);
+                self.secure(router);
                 self.mark_dirty(router);
             }
             // An unsecure flips no snapshotted field, but the dirty mark
             // keeps the rule simple: every apply target is re-snapped.
             Effect::Unsecure { router } => {
-                self.unsecure(router as usize);
+                self.wake(router, self.now + 1);
+                self.unsecure(router);
                 self.mark_dirty(router);
             }
             Effect::Transfer {
@@ -611,21 +742,19 @@ impl Network {
                 flit,
                 ready_at,
             } => {
-                let d = dst as usize;
-                self.routers[d].ports[port as usize]
-                    .vc_mut(vc as usize)
-                    .push(flit, ready_at);
-                self.routers[d].buffered_flits += 1;
-                self.routers[d].counters.flits_in[port_class(port as usize)] += 1;
+                self.wake(dst, self.now + 1);
+                let r = &mut self.routers[dst];
+                r.push_flit(port, usize::from(vc), flit, ready_at);
+                r.counters.flits_in[port_class(port)] += 1;
                 self.mark_dirty(dst);
             }
         }
     }
 
     /// Record that router `r`'s snapshot no longer matches live state.
-    fn mark_dirty(&mut self, r: u32) {
-        if !self.dirty[r as usize] {
-            self.dirty[r as usize] = true;
+    fn mark_dirty(&mut self, r: usize) {
+        if !self.dirty[r] {
+            self.dirty[r] = true;
             self.dirty_list.push(r);
         }
     }
@@ -635,36 +764,38 @@ impl Network {
     /// complete set.
     fn rebuild_dirty_snaps(&mut self) {
         while let Some(r) = self.dirty_list.pop() {
-            self.dirty[r as usize] = false;
-            self.rebuild_snap(r as usize);
+            self.dirty[r] = false;
+            self.rebuild_snap(r);
         }
     }
 
-    /// Recompute router `r`'s settled snapshot from its live state.
+    /// Recompute router `r`'s settled snapshot from its live state. A
+    /// VC's flags change only when a flit is pushed or popped, so only
+    /// the VCs marked stale since the last rebuild are recomputed.
     fn rebuild_snap(&mut self, r: usize) {
-        let router = &self.routers[r];
+        let router = &mut self.routers[r];
         self.snap_meta[r] = SnapMeta {
             operational: router.state.is_operational(),
             stall_until: router.stall_until,
             divisor: router.divisor(),
         };
         let n_vcs = self.cfg.vcs_per_port;
-        let n_ports = router.ports.len();
-        let base = r * n_ports * n_vcs;
-        for (p, port) in router.ports.iter().enumerate() {
-            for v in 0..n_vcs {
-                let vcb = port.vc(v);
-                self.snap_vc[base + p * n_vcs + v] = u8::from(vcb.can_accept_new_packet())
-                    * SNAP_ACCEPTS_NEW
-                    + u8::from(vcb.has_space()) * SNAP_HAS_SPACE;
-            }
+        let base = r * router.ports.len() * n_vcs;
+        let stale = std::mem::take(&mut router.snap_stale);
+        for (p, v) in router.slots(stale) {
+            let vcb = router.ports[p].vc(v);
+            self.snap_vc[base + p * n_vcs + v] = u8::from(vcb.can_accept_new_packet())
+                * SNAP_ACCEPTS_NEW
+                + u8::from(vcb.has_space()) * SNAP_HAS_SPACE;
         }
     }
 
-    /// Rebuild every router's snapshot (construction, and tests that
-    /// plant router state by hand).
+    /// Rebuild every router's snapshot in full (construction, and tests
+    /// that plant router state by hand).
     fn refresh_all_snaps(&mut self) {
+        let slots = self.topo.ports_per_router() * self.cfg.vcs_per_port;
         for r in 0..self.routers.len() {
+            self.routers[r].snap_stale = u64::MAX >> (64 - slots);
             self.rebuild_snap(r);
         }
     }
@@ -675,7 +806,7 @@ impl Network {
         let base = (d * self.topo.ports_per_router() + port) * n_vcs;
         (0..n_vcs)
             .find(|&v| self.snap_vc[base + v] & SNAP_ACCEPTS_NEW != 0)
-            .map(|v| v as u8)
+            .and_then(|v| u8::try_from(v).ok())
     }
 
     /// Settled view of `has_space` on a downstream VC.
@@ -684,17 +815,10 @@ impl Network {
         self.snap_vc[(d * self.topo.ports_per_router() + port) * n_vcs + vc] & SNAP_HAS_SPACE != 0
     }
 
-    /// Earliest live router-cycle deadline, draining stale heap tops on
-    /// the way. The heap is never empty (heartbeats are perpetual), so
-    /// this is finite.
-    fn local_next_event(&mut self) -> u64 {
-        while let Some(&Reverse((t, idx))) = self.sched.peek() {
-            if self.routers[idx as usize].next_cycle_at == t {
-                return t;
-            }
-            self.sched.pop();
-        }
-        u64::MAX
+    /// Earliest router-cycle deadline. Finite: a sleeping router's
+    /// deadline is at the latest its next epoch boundary.
+    fn local_next_event(&self) -> u64 {
+        self.sched.peek().0
     }
 
     /// Bill the residual residency of every router at `now`.
@@ -717,7 +841,8 @@ impl Network {
     ) {
         match self.routers[i].state {
             PowerState::Inactive => {
-                // Always-on heartbeat: account off time, advance epoch.
+                // Gated: the always-on power-management logic accounts
+                // off time and advances the epoch.
                 let div = self.routers[i].divisor().cycle_ticks();
                 let r = &mut self.routers[i];
                 r.counters.off_ticks += div;
@@ -742,6 +867,10 @@ impl Network {
                         self.routers[i].occupancy(),
                         "buffered-flit count drifted from the buffers"
                     );
+                    debug_assert!(
+                        self.routers[i].occupied_mask_matches_buffers(),
+                        "occupied-VC mask drifted from the buffers"
+                    );
                     // Nothing buffered means both scans below are
                     // no-ops; most routers are empty most cycles.
                     if self.routers[i].buffered_flits > 0 {
@@ -749,7 +878,7 @@ impl Network {
                         self.switch_allocate(i);
                     }
                 }
-                self.maybe_gate_off(i, policy.gating_enabled());
+                self.maybe_gate_off(i);
             }
         }
 
@@ -816,19 +945,17 @@ impl Network {
             let Some(&flit) = self.inject[core_idx].front() else {
                 continue;
             };
-            let port_idx = Port::Local(slot as u8).index();
+            let port_idx = Port::Local(u8::try_from(slot).expect("local slots fit u8")).index();
             let r = &mut self.routers[i];
             let divisor = r.divisor();
-            let port = &mut r.ports[port_idx];
+            let port = &r.ports[port_idx];
             let target_vc = if flit.kind.is_head() {
-                port.free_vc()
+                port.free_vc().map(usize::from)
             } else {
-                (0..port.num_vcs())
-                    .find(|&v| port.vc(v).owner() == Some(flit.packet))
-                    .map(|v| v as u8)
+                (0..port.num_vcs()).find(|&v| port.vc(v).owner() == Some(flit.packet))
             };
             let Some(vc) = target_vc else { continue };
-            if !port.vc(vc as usize).has_space() {
+            if !port.vc(vc).has_space() {
                 continue;
             }
             // The flit spends the router pipeline (minus the ST cycle
@@ -838,10 +965,9 @@ impl Network {
                 + DomainCycles::new(self.cfg.pipeline_cycles - 1)
                     .to_ticks(divisor)
                     .ticks();
-            port.vc_mut(vc as usize).push(flit, ready);
-            r.buffered_flits += 1;
+            r.push_flit(port_idx, vc, flit, ready);
             if flit.kind.is_head() {
-                self.net_entry[flit.packet.0 as usize] = self.now;
+                self.net_entry[packet_index(flit)] = self.now;
             }
             self.inject[core_idx].pop_front();
             let c = &mut r.counters;
@@ -863,30 +989,25 @@ impl Network {
     /// holding an unrouted packet head.
     fn route_compute(&mut self, i: usize) {
         let router_id = self.routers[i].id;
-        let n_ports = self.routers[i].ports.len();
-        let n_vcs = self.cfg.vcs_per_port;
-        for p in 0..n_ports {
-            for v in 0..n_vcs {
-                let vc = self.routers[i].ports[p].vc(v);
-                if vc.owner().is_none() || vc.route().is_some() || vc.is_empty() {
-                    continue;
-                }
-                let dst = vc
-                    .peek_ready(u64::MAX)
-                    .expect("non-empty VC has a front flit")
-                    .dst;
-                let out_port = self.xy.output_port(router_id, dst);
-                let next_router = self.xy.next_hop(router_id, dst);
-                self.routers[i].ports[p].vc_mut(v).set_route(VcRoute {
-                    out_port,
-                    next_router,
-                    out_vc: None,
-                });
-                if let Some(d) = next_router {
-                    self.outbox.push(Effect::Secure {
-                        router: d.idx() as u32,
-                    });
-                }
+        let occupied = self.routers[i].slots(self.routers[i].occupied);
+        for (p, v) in occupied {
+            let vc = self.routers[i].ports[p].vc(v);
+            if vc.owner().is_none() || vc.route().is_some() {
+                continue;
+            }
+            let dst = vc
+                .peek_ready(u64::MAX)
+                .expect("non-empty VC has a front flit")
+                .dst;
+            let out_port = self.xy.output_port(router_id, dst);
+            let next_router = self.xy.next_hop(router_id, dst);
+            self.routers[i].ports[p].vc_mut(v).set_route(VcRoute {
+                out_port,
+                next_router,
+                out_vc: None,
+            });
+            if let Some(d) = next_router {
+                self.outbox.push(Effect::Secure { router: d.idx() });
             }
         }
     }
@@ -912,19 +1033,15 @@ impl Network {
             let cand = &mut self.sa_cand;
             let cand_len = &mut self.sa_cand_len;
             cand_len[..n_ports].fill(0);
-            let mut slot = 0usize;
-            for port in router.ports.iter() {
-                for v in 0..n_vcs {
-                    let vc = port.vc(v);
-                    if let Some(route) = vc.route() {
-                        if vc.peek_ready(self.now).is_some() {
-                            let out = route.out_port.index();
-                            cand[out * n_slots + cand_len[out]] = slot;
-                            cand_len[out] += 1;
-                            total += 1;
-                        }
+            for (p, v) in router.slots(router.occupied) {
+                let vc = router.ports[p].vc(v);
+                if let Some(route) = vc.route() {
+                    if vc.peek_ready(self.now).is_some() {
+                        let out = route.out_port.index();
+                        cand[out * n_slots + cand_len[out]] = p * n_vcs + v;
+                        cand_len[out] += 1;
+                        total += 1;
                     }
-                    slot += 1;
                 }
             }
         }
@@ -1036,7 +1153,7 @@ impl Network {
                 }
                 // Grant: pop here, hand the flit over as a transfer
                 // applied at the end of the tick.
-                let flit = self.routers[i].ports[port].vc_mut(vc).pop();
+                let flit = self.routers[i].pop_flit(port, vc);
                 let mode = match self.routers[i].state {
                     PowerState::Active(m) => m,
                     _ => unreachable!("only active routers allocate"),
@@ -1046,7 +1163,6 @@ impl Network {
                     + DomainCycles::new(self.cfg.pipeline_cycles - 1)
                         .to_ticks(snap.divisor)
                         .ticks();
-                self.routers[i].buffered_flits -= 1;
                 let out_class = port_class(route.out_port.index());
                 {
                     let c = &mut self.routers[i].counters;
@@ -1056,14 +1172,14 @@ impl Network {
                 }
                 self.ledger.bill_hop(self.routers[i].id, mode);
                 self.outbox.push(Effect::Transfer {
-                    dst: d as u32,
-                    port: down_port as u8,
+                    dst: d,
+                    port: down_port,
                     vc: down_vc,
                     flit,
                     ready_at: ready,
                 });
                 if flit.kind.is_tail() {
-                    self.outbox.push(Effect::Unsecure { router: d as u32 });
+                    self.outbox.push(Effect::Unsecure { router: d });
                 }
                 true
             }
@@ -1072,8 +1188,7 @@ impl Network {
 
     /// Eject the head flit of `(port, vc)` to the attached core.
     fn eject(&mut self, i: usize, port: usize, vc: usize, out_port: Port) {
-        let flit = self.routers[i].ports[port].vc_mut(vc).pop();
-        self.routers[i].buffered_flits -= 1;
+        let flit = self.routers[i].pop_flit(port, vc);
         let mode = match self.routers[i].state {
             PowerState::Active(m) => m,
             _ => unreachable!("only active routers eject"),
@@ -1101,7 +1216,7 @@ impl Network {
             let latency = self.now.saturating_sub(flit.inject_time.ticks());
             self.stats.latency_sum_ticks += latency as u128;
             self.stats.latency_max_ticks = self.stats.latency_max_ticks.max(latency);
-            let entered = self.net_entry[flit.packet.0 as usize];
+            let entered = self.net_entry[packet_index(flit)];
             debug_assert_ne!(entered, u64::MAX, "delivered before entering?");
             let net_latency = self.now.saturating_sub(entered);
             self.stats.net_latency_sum_ticks += net_latency as u128;
@@ -1112,8 +1227,8 @@ impl Network {
     }
 
     /// Gate the router off when every Fig. 3(a) condition holds.
-    fn maybe_gate_off(&mut self, i: usize, gating_enabled: bool) {
-        if !gating_enabled {
+    fn maybe_gate_off(&mut self, i: usize) {
+        if !self.gating {
             return;
         }
         let r = &self.routers[i];
@@ -1192,14 +1307,19 @@ impl Network {
         self.ledger.note_wakeup(id);
         self.ledger
             .bill_transition(id, self.transition.wakeup_j(target));
-        // The heartbeat must check `until` promptly. Pulling the cycle
-        // earlier strands the old heap entry (discarded as stale on
-        // pop), so the new deadline needs its own entry.
+        // The waking router must check `until` promptly, on its target
+        // mode's clock: a cycle due later than one target-mode cycle from
+        // now is pulled in, and the grid restarts at the pull. Otherwise
+        // the standing deadline stays, and the grid is re-anchored so
+        // that it lands one target-mode cycle after its origin.
         let r = &mut self.routers[i];
-        let pulled = self.now + r.divisor().cycle_ticks();
+        let div = r.divisor().cycle_ticks();
+        let pulled = self.now + div;
         if pulled < r.next_cycle_at {
-            r.next_cycle_at = pulled;
-            self.sched.push(Reverse((pulled, i as u32)));
+            r.cycle_origin = self.now;
+            self.arm(i, pulled);
+        } else {
+            r.cycle_origin = r.next_cycle_at.saturating_sub(div);
         }
     }
 
@@ -1485,18 +1605,14 @@ mod tests {
         let west = dozznoc_topology::Port::Dir(Direction::West);
         // Local input VC 0 → east; north input VC 0 → west.
         let local = dozznoc_topology::Port::Local(0).index();
-        net.routers[i].ports[local]
-            .vc_mut(0)
-            .push(head_flit(0, 9, 15), 0);
+        net.routers[i].push_flit(local, 0, head_flit(0, 9, 15), 0);
         net.routers[i].ports[local].vc_mut(0).set_route(VcRoute {
             out_port: east,
             next_router: Some(RouterId(10)),
             out_vc: None,
         });
         let north = dozznoc_topology::Port::Dir(Direction::North).index();
-        net.routers[i].ports[north]
-            .vc_mut(0)
-            .push(head_flit(1, 9, 8), 0);
+        net.routers[i].push_flit(north, 0, head_flit(1, 9, 8), 0);
         net.routers[i].ports[north].vc_mut(0).set_route(VcRoute {
             out_port: west,
             next_router: Some(RouterId(8)),
@@ -1531,66 +1647,269 @@ mod tests {
     }
 
     #[test]
-    fn wakeup_pull_reschedules_earlier_than_standing_heap_entry() {
-        // A gated router keeps a slow heartbeat; its standing heap entry
-        // can sit far in the future when a wake punch arrives. The wake
-        // must pull the next cycle to `now + divisor` and push a fresh
-        // entry for it — the stranded entry is discarded as stale later.
+    fn wakeup_pull_reschedules_earlier_than_standing_deadline() {
+        // A gated router's standing deadline can sit far in the future
+        // when a wake punch arrives. The wake must pull the next cycle
+        // to `now + divisor` and re-key the schedule to it.
         let mut net = Network::new(mesh_cfg());
         let i = 12;
         net.now = 360;
         net.routers[i].state = PowerState::Inactive;
-        net.routers[i].next_cycle_at = 360 + 1_000;
-        net.sched.push(Reverse((360 + 1_000, i as u32)));
+        net.arm(i, 360 + 1_000);
         net.begin_wakeup(i);
         let pulled = 360 + net.routers[i].divisor().cycle_ticks();
         assert!(pulled < 360 + 1_000);
         assert_eq!(net.routers[i].next_cycle_at, pulled);
-        assert!(
-            net.sched
-                .iter()
-                .any(|&Reverse((t, idx))| idx == i as u32 && t == pulled),
-            "pulled-up deadline must have its own heap entry"
-        );
-        // The stranded entry no longer matches `next_cycle_at`, which is
-        // exactly the staleness test the fire loop applies on pop.
-        assert_ne!(net.routers[i].next_cycle_at, 360 + 1_000);
+        assert_eq!(net.sched.tick(i), pulled);
 
-        // When the heartbeat is already due sooner than the pull would
+        // When the cycle is already due sooner than the pull would
         // land, the wake must NOT re-arm (that would push the cycle
-        // *later*) and needs no new entry.
+        // *later*).
         let mut soon = Network::new(mesh_cfg());
         let j = 30;
         soon.now = 360;
         soon.routers[j].state = PowerState::Inactive;
-        soon.routers[j].next_cycle_at = 361;
-        let before = soon.sched.len();
+        soon.arm(j, 361);
         soon.begin_wakeup(j);
         assert_eq!(soon.routers[j].next_cycle_at, 361);
-        assert_eq!(soon.sched.len(), before);
+        assert_eq!(soon.sched.tick(j), 361);
+    }
+
+    /// Process every event up to and including `tick` the way the run
+    /// loop does (fire, then settle), then set the clock to `tick`.
+    fn advance_to(net: &mut Network, policy: &mut dyn PowerPolicy, tick: u64) {
+        loop {
+            let next = net.local_next_event();
+            if next > tick {
+                break;
+            }
+            net.now = next;
+            net.fire(policy, None, &mut NullSink);
+            net.settle();
+        }
+        net.now = tick;
+    }
+
+    /// A fresh mesh whose routers all fired their first cycle at tick 0.
+    /// Idle and ungated, each sleeps until its first epoch boundary, the
+    /// 500th M7 cycle at tick 499 · 8 = 3992.
+    fn idle_mesh(policy: &mut dyn PowerPolicy) -> Network {
+        let mut net = Network::new(mesh_cfg());
+        net.gating = policy.gating_enabled();
+        advance_to(&mut net, policy, 0);
+        net
     }
 
     #[test]
-    fn same_tick_heap_entries_pop_in_router_index_order() {
-        // `Reverse<(tick, index)>` orders same-tick entries by router
-        // index, so the heap drain visits routers exactly like the old
-        // linear scan did — this is what keeps run reports bit-identical.
-        let mut net = Network::new(mesh_cfg());
-        let n = net.routers.len() as u32;
-        // Re-arm router 3 as if it had already fired: its tick-0 entry
-        // is now stale and the fire loop's check must say so.
-        net.routers[3].next_cycle_at = 7;
-        let mut fired = Vec::new();
-        while let Some(Reverse((t, idx))) = net.sched.pop() {
-            if net.routers[idx as usize].next_cycle_at != t {
-                assert_eq!(idx, 3, "only the re-armed router may be stale");
-                continue;
-            }
-            assert_eq!(t, 0);
-            fired.push(idx);
+    fn idle_routers_sleep_until_their_epoch_boundary() {
+        let net = idle_mesh(&mut AlwaysMode::new(Mode::M7));
+        for r in &net.routers {
+            assert_eq!((r.cycle_origin, r.next_cycle_at), (0, 3992));
+            assert_eq!(r.counters.cycles, 1);
         }
-        let expected: Vec<u32> = (0..n).filter(|&i| i != 3).collect();
+    }
+
+    #[test]
+    fn transfer_on_a_sleepers_grid_tick_counts_that_tick_first() {
+        let mut policy = AlwaysMode::new(Mode::M7);
+        let mut net = idle_mesh(&mut policy);
+        let i = 9;
+        // Tick 40 is on router 9's grid: firing every cycle, it would
+        // have fired at 8, 16, 24, 32 and 40 before this tick settles.
+        net.now = 40;
+        let north = Port::Dir(dozznoc_topology::Direction::North).index();
+        net.outbox.push(Effect::Transfer {
+            dst: 9,
+            port: north,
+            vc: 0,
+            flit: head_flit(0, 1, 15),
+            ready_at: 57,
+        });
+        net.settle();
+        let r = &net.routers[i];
+        assert_eq!(r.counters.cycles, 6);
+        assert_eq!(r.counters.idle_cycles, 6);
+        assert_eq!(r.idle_streak, 6);
+        assert_eq!(r.cycles_into_epoch, 6);
+        assert_eq!(r.counters.flits_in[port_class(north)], 1);
+        assert_eq!(r.buffered_flits, 1);
+        // Back on its grid at the next tick after 40, in the schedule too.
+        assert_eq!((r.cycle_origin, r.next_cycle_at), (40, 48));
+        assert_eq!(net.sched.tick(9), 48);
+        // Holding a flit, it no longer sleeps after firing.
+        advance_to(&mut net, &mut policy, 48);
+        let r = &net.routers[i];
+        assert_eq!(r.counters.cycles, 7);
+        assert_eq!(r.counters.idle_cycles, 6);
+        assert_eq!(r.next_cycle_at, 56);
+    }
+
+    #[test]
+    fn admission_on_a_sleepers_grid_tick_fires_it_that_tick() {
+        let mut policy = AlwaysMode::new(Mode::M7);
+        let mut net = idle_mesh(&mut policy);
+        let mut pkt = packet(9, 15, PacketKind::Request, 0.0);
+        pkt.inject_time = SimTime::from_ticks(40);
+        let packets = [pkt];
+        net.net_entry = vec![u64::MAX; 1];
+        net.now = 40;
+        let mut next_pkt = 0;
+        net.admit(&packets, &mut next_pkt);
+        // Admission runs before firing: only 8, 16, 24 and 32 were
+        // slept through, and the router re-arms at 40 itself.
+        let r = &net.routers[9];
+        assert_eq!(r.counters.cycles, 5);
+        assert_eq!((r.cycle_origin, r.next_cycle_at), (32, 40));
+        net.fire(&mut policy, None, &mut NullSink);
+        let r = &net.routers[9];
+        assert_eq!(r.counters.cycles, 6);
+        assert_eq!(r.counters.flits_injected, 1);
+        assert_eq!(r.buffered_flits, 1);
+        assert_eq!(net.net_entry[0], 40);
+        assert_eq!(r.next_cycle_at, 48);
+    }
+
+    #[test]
+    fn secure_mid_sleep_counts_secured_cycles_from_that_tick() {
+        let mut policy = AlwaysMode::new(Mode::M7);
+        let mut net = idle_mesh(&mut policy);
+        let i = 9;
+        // A punch on an active sleeper changes nothing it sleeps on.
+        net.now = 37;
+        net.outbox.push(Effect::Punch { router: 9 });
+        net.settle();
+        assert_eq!(net.routers[i].next_cycle_at, 3992);
+        assert_eq!(net.routers[i].counters.cycles, 1);
+        // Tick 37 is between grid ticks 32 and 40: cycles 8..=32 were
+        // unsecured; the secure lands before the cycle at 40.
+        net.outbox.push(Effect::Secure { router: 9 });
+        net.settle();
+        let r = &net.routers[i];
+        assert_eq!(r.counters.cycles, 5);
+        assert_eq!(r.counters.secured_cycles, 0);
+        assert_eq!((r.cycle_origin, r.next_cycle_at), (32, 40));
+        // It fires secured at 40, then sleeps to the same boundary.
+        advance_to(&mut net, &mut policy, 40);
+        let r = &net.routers[i];
+        assert_eq!(r.counters.secured_cycles, 1);
+        assert_eq!(r.next_cycle_at, 3992);
+        // Slept-through cycles 48..=96 count as secured too.
+        net.now = 100;
+        net.catch_up(i, 101);
+        let r = &net.routers[i];
+        assert_eq!(r.counters.cycles, 13);
+        assert_eq!(r.counters.secured_cycles, 8);
+        assert_eq!(r.cycle_origin, 96);
+    }
+
+    #[test]
+    fn unsecure_that_frees_a_sleeper_gates_it_on_the_per_cycle_tick() {
+        let mut policy = AlwaysMode::new(Mode::M7).with_gating();
+        let mut net = Network::new(mesh_cfg());
+        net.gating = true;
+        let i = 9;
+        // Secured from the start, router 9 cannot gate off: it sleeps
+        // to its epoch boundary while its idle neighbours gate off at
+        // tick 24 (T-Idle = 4 idle cycles).
+        net.secured[i] = 1;
+        advance_to(&mut net, &mut policy, 0);
+        assert_eq!(net.routers[i].next_cycle_at, 3992);
+        assert_eq!(net.routers[8].next_cycle_at, 24);
+        advance_to(&mut net, &mut policy, 37);
+        assert!(net.routers[8].state.is_inactive());
+        assert!(!net.routers[i].state.is_inactive());
+        // Released at 37: cycles 8..=32 were secured; the router's next
+        // cycle is 40, where every gate-off condition holds.
+        net.outbox.push(Effect::Unsecure { router: 9 });
+        net.settle();
+        let r = &net.routers[i];
+        assert_eq!(r.counters.secured_cycles, 5);
+        assert_eq!(r.idle_streak, 5);
+        assert_eq!(r.next_cycle_at, 40);
+        advance_to(&mut net, &mut policy, 40);
+        let r = &net.routers[i];
+        assert!(r.state.is_inactive());
+        assert_eq!(r.state_since, SimTime::from_ticks(40));
+        assert_eq!(r.lifetime_gate_offs, 1);
+    }
+
+    #[test]
+    fn wakeup_pull_on_a_long_sleeper_lands_where_its_heartbeat_would() {
+        let mut policy = AlwaysMode::new(Mode::M7).with_gating();
+        let mut net = Network::new(mesh_cfg());
+        net.gating = true;
+        // Everyone gates off at tick 24 after T-Idle idle cycles and
+        // sleeps on the 18-tick M3 grid until the epoch boundary: 4
+        // cycles done, 496 to go.
+        advance_to(&mut net, &mut policy, 24);
+        let boundary = 24 + 496 * 18;
+        assert_eq!(net.routers[12].next_cycle_at, boundary);
+        // Punched at 929, 50 grid ticks (42..=924) later. Its next
+        // gated cycle would be 942; the wake-up pulls it to 929 + 8.
+        advance_to(&mut net, &mut policy, 929);
+        net.outbox.push(Effect::Punch { router: 12 });
+        net.settle();
+        let r = &net.routers[12];
+        assert_eq!(r.counters.cycles, 54);
+        assert_eq!(r.counters.off_ticks, 900);
+        assert_eq!(r.total_off_ticks, 900);
+        assert!(matches!(r.state, PowerState::Wakeup { .. }));
+        assert_eq!((r.cycle_origin, r.next_cycle_at), (929, 937));
+        assert_eq!(net.sched.tick(12), 937);
+        // Punched at 936 instead, the pull (944) would land after the
+        // standing cycle at 942, which therefore stays.
+        advance_to(&mut net, &mut policy, 936);
+        net.outbox.push(Effect::Punch { router: 13 });
+        net.settle();
+        let r = &net.routers[13];
+        assert_eq!(r.counters.cycles, 54);
+        assert_eq!(r.next_cycle_at, 942);
+        assert_eq!(r.cycle_origin, 942 - 8);
+    }
+
+    #[test]
+    fn idle_run_fires_per_epoch_not_per_cycle() {
+        // One request from core 0 to its east neighbour, injected at
+        // tick 80 000 after 20 idle M7 epochs (boundaries at 3992 +
+        // 4000·j). Firing every cycle would stop at every 8-tick grid
+        // tick from 0 to the ejection at 80 048: 10 007 event ticks.
+        // Sleeping, the run stops at tick 0, the 20 boundaries, and the
+        // 7 grid ticks of the packet's 48-tick flight.
+        let mut pkt = packet(0, 1, PacketKind::Request, 0.0);
+        pkt.inject_time = SimTime::from_ticks(80_000);
+        let trace = Trace::new("idle", 64, vec![pkt]);
+        let mut san = SimSanitizer::default();
+        let r = Network::new(mesh_cfg())
+            .run_sanitized(&trace, &mut AlwaysMode::new(Mode::M7), &mut san)
+            .expect("run completes");
+        assert_eq!(san.violation_count(), 0);
+        assert_eq!(san.sweeps(), 1 + 20 + 7);
+        assert_eq!(r.finished_at.ticks(), 80_048);
+        assert_eq!(r.stats.latency_max_ticks, 48);
+        assert_eq!(r.stats.epochs, 64 * 20);
+    }
+
+    #[test]
+    fn same_tick_deadlines_fire_in_router_index_order() {
+        // The schedule breaks ties by router index, so a tick's firings
+        // visit routers exactly like a linear index scan — this is what
+        // keeps run reports bit-identical.
+        let mut net = Network::new(mesh_cfg());
+        let n = net.routers.len();
+        // Re-arm router 3 as if it had already fired.
+        net.arm(3, 7);
+        let mut fired = Vec::new();
+        loop {
+            let (t, idx) = net.sched.peek();
+            if t > 0 {
+                break;
+            }
+            fired.push(idx);
+            net.arm(idx, 8);
+        }
+        let expected: Vec<usize> = (0..n).filter(|&i| i != 3).collect();
         assert_eq!(fired, expected);
+        assert_eq!(net.sched.peek(), (7, 3));
     }
 
     #[test]

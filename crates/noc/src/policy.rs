@@ -26,6 +26,11 @@ pub trait PowerPolicy {
 
     /// Whether routers may be power-gated (Fig. 3(a) mechanics). The
     /// baseline and DVFS-only models return `false`.
+    ///
+    /// A per-run constant: the network reads it once when a run starts,
+    /// and a sleeping idle router's wake-up bound (its T-Idle gate-off
+    /// cycle) depends on it. An implementation must return the same
+    /// value for the policy's whole lifetime.
     fn gating_enabled(&self) -> bool {
         false
     }

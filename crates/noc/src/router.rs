@@ -5,7 +5,7 @@
 //! (switch allocation, hops, wake-ups) lives in [`crate::network`]
 //! because it needs simultaneous access to both ends of every link.
 
-use dozznoc_types::{ClockDivisor, DomainCycles, Mode, PowerState, RouterId, SimTime};
+use dozznoc_types::{ClockDivisor, DomainCycles, Flit, Mode, PowerState, RouterId, SimTime};
 
 use crate::buffer::InputPort;
 use crate::config::NocConfig;
@@ -84,8 +84,16 @@ pub struct Router {
     pub selected_mode: Mode,
     /// Input ports, indexed by `Port::index`.
     pub ports: Vec<InputPort>,
-    /// Tick at which the next local cycle fires.
+    /// Tick at which the next local cycle fires: the next tick of the
+    /// divisor grid, or — while the router sleeps — the first grid tick
+    /// at which it could do more than count an idle cycle.
     pub next_cycle_at: u64,
+    /// Origin of the local-cycle grid: pending cycles fall on
+    /// `cycle_origin + m · divisor()` for m ≥ 1, and every such tick
+    /// before `next_cycle_at` is an idle cycle slept through and not yet
+    /// accounted. Firing a cycle (or accounting skipped ones in closed
+    /// form) moves it forward; a wake-up pull moves it to the pull tick.
+    pub(crate) cycle_origin: u64,
     /// Router performs no flit movement before this tick (T-Switch /
     /// residual pipeline stall).
     pub stall_until: u64,
@@ -98,12 +106,19 @@ pub struct Router {
     pub idle_streak: u64,
     /// Round-robin switch-allocation pointer per output port.
     pub sa_rr: Vec<usize>,
-    /// Buffered-flit count, maintained incrementally by the network at
-    /// every buffer push/pop. Lets the per-cycle pipeline skip the
-    /// route-compute and switch-allocation scans outright for routers
-    /// with nothing buffered (the common case); asserted against the
-    /// authoritative [`Router::occupancy`] scan in debug builds.
+    /// Buffered-flit count, maintained incrementally by the router's one
+    /// push and one pop path. Lets the pipeline skip the route-compute
+    /// and switch-allocation stages outright for routers with nothing
+    /// buffered (the common case); asserted against the authoritative
+    /// [`Router::occupancy`] scan in debug builds.
     pub buffered_flits: u32,
+    /// Input VCs holding at least one flit, one bit per VC slot
+    /// `port · vcs_per_port + vc`. The pipeline stages visit only these
+    /// VCs, in ascending slot order, instead of scanning every buffer.
+    pub(crate) occupied: u64,
+    /// VC slots pushed or popped since the network last snapshotted this
+    /// router: the only VCs whose settled flags can have changed.
+    pub(crate) snap_stale: u64,
     /// Local cycles into the current epoch.
     pub cycles_into_epoch: u64,
     /// Epochs completed.
@@ -125,6 +140,28 @@ pub struct Router {
     buffer_capacity: usize,
     class_capacity: [usize; PORT_CLASSES],
     class_ports: [usize; PORT_CLASSES],
+    vcs_per_port: usize,
+}
+
+/// The `(port, vc)` pairs of the set bits of a VC-slot mask, ascending.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Slots {
+    bits: u64,
+    vcs_per_port: usize,
+}
+
+impl Iterator for Slots {
+    type Item = (usize, usize);
+
+    #[inline]
+    fn next(&mut self) -> Option<(usize, usize)> {
+        if self.bits == 0 {
+            return None;
+        }
+        let slot = self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some((slot / self.vcs_per_port, slot % self.vcs_per_port))
+    }
 }
 
 impl Router {
@@ -147,12 +184,15 @@ impl Router {
             selected_mode: Mode::M7,
             ports,
             next_cycle_at: 0,
+            cycle_origin: 0,
             stall_until: 0,
             state_since: SimTime::ZERO,
             off_since: None,
             idle_streak: 0,
             sa_rr: vec![0; n_ports],
             buffered_flits: 0,
+            occupied: 0,
+            snap_stale: 0,
             cycles_into_epoch: 0,
             epochs: 0,
             counters: EpochCounters::default(),
@@ -165,7 +205,43 @@ impl Router {
             buffer_capacity: cfg.buffer_capacity(),
             class_capacity,
             class_ports,
+            vcs_per_port: cfg.vcs_per_port,
         }
+    }
+
+    /// The `(port, vc)` of every VC slot set in `mask`, ascending.
+    #[inline]
+    pub(crate) fn slots(&self, mask: u64) -> Slots {
+        Slots {
+            bits: mask,
+            vcs_per_port: self.vcs_per_port,
+        }
+    }
+
+    /// Buffer `flit` in input VC `(port, vc)`, keeping the occupancy
+    /// count and the VC-slot masks in step with the buffers.
+    #[inline]
+    pub(crate) fn push_flit(&mut self, port: usize, vc: usize, flit: Flit, ready_at: u64) {
+        self.ports[port].vc_mut(vc).push(flit, ready_at);
+        self.buffered_flits += 1;
+        let bit = 1u64 << (port * self.vcs_per_port + vc);
+        self.occupied |= bit;
+        self.snap_stale |= bit;
+    }
+
+    /// Dequeue the head flit of input VC `(port, vc)`, keeping the
+    /// occupancy count and the VC-slot masks in step with the buffers.
+    #[inline]
+    pub(crate) fn pop_flit(&mut self, port: usize, vc: usize) -> Flit {
+        let buf = self.ports[port].vc_mut(vc);
+        let flit = buf.pop();
+        let bit = 1u64 << (port * self.vcs_per_port + vc);
+        if buf.is_empty() {
+            self.occupied &= !bit;
+        }
+        self.buffered_flits -= 1;
+        self.snap_stale |= bit;
+        flit
     }
 
     /// Total input occupancy (flits).
@@ -178,14 +254,29 @@ impl Router {
         self.occupancy() as f64 / self.buffer_capacity as f64
     }
 
+    /// True when [`Router::occupied`](Router) has exactly the bits of
+    /// the non-empty VCs (debug cross-check of the incremental mask).
+    pub(crate) fn occupied_mask_matches_buffers(&self) -> bool {
+        let mut mask = 0u64;
+        for (p, port) in self.ports.iter().enumerate() {
+            for (v, vc) in port.iter() {
+                if !vc.is_empty() {
+                    mask |= 1 << (p * self.vcs_per_port + v);
+                }
+            }
+        }
+        mask == self.occupied
+    }
+
     /// True when every input buffer is empty.
     pub fn buffers_empty(&self) -> bool {
         self.ports.iter().all(InputPort::is_empty)
     }
 
-    /// The clock divisor the router ticks at in its current state.
-    /// Gated/waking routers keep a slow M3-rate heartbeat for the
-    /// always-on power-management logic.
+    /// The clock divisor the router ticks at in its current state. A
+    /// waking router counts cycles at its target mode's rate; a gated
+    /// one at the M3 rate of the always-on power-management logic, which
+    /// keeps its off-time and epoch accounting running.
     pub fn divisor(&self) -> ClockDivisor {
         match self.state {
             PowerState::Active(m) => m.divisor(),
@@ -202,13 +293,14 @@ impl Router {
     /// Sample per-cycle gauges into the epoch counters. `secured` is the
     /// network's downstream-secure count for this router.
     pub fn sample_cycle(&mut self, secured: bool) {
+        let occupied = self.slots(self.occupied);
         let c = &mut self.counters;
         c.cycles += 1;
         let mut occ = 0u64;
-        for (p, port) in self.ports.iter().enumerate() {
-            let po = port.occupancy() as u64;
-            occ += po;
-            c.class_occupancy[port_class(p)] += po;
+        for (p, v) in occupied {
+            let len = self.ports[p].vc(v).len() as u64;
+            occ += len;
+            c.class_occupancy[port_class(p)] += len;
         }
         c.occupancy_flit_cycles += occ;
         c.occupancy_peak = c.occupancy_peak.max(occ);
@@ -220,6 +312,30 @@ impl Router {
         }
         if secured {
             c.secured_cycles += 1;
+        }
+    }
+
+    /// Account `k` idle local cycles in closed form: exactly what `k`
+    /// firings of a quiescent router add to its counters — no power
+    /// state change, no epoch boundary, empty input buffers (so every
+    /// occupancy sum grows by zero and the peak stays). Integers only.
+    /// `secured` is the network's downstream-secure count for this
+    /// router, constant across the skipped cycles.
+    pub(crate) fn skip_idle_cycles(&mut self, k: u64, secured: bool) {
+        debug_assert_eq!(self.buffered_flits, 0, "only empty routers sleep");
+        let div = self.divisor().cycle_ticks();
+        let c = &mut self.counters;
+        c.cycles += k;
+        c.idle_cycles += k;
+        self.idle_streak += k;
+        self.cycles_into_epoch += k;
+        if self.state.is_inactive() {
+            // A gated router samples as unsecured and books off time.
+            let off = k * div;
+            c.off_ticks += off;
+            self.total_off_ticks += off;
+        } else if secured {
+            c.secured_cycles += k;
         }
     }
 

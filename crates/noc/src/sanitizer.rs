@@ -3,7 +3,7 @@
 //!
 //! The simulator maintains several redundant views of the same physical
 //! quantities — incremental flit counts next to authoritative buffer
-//! scans, a lazy-deletion event heap next to per-router deadlines, a
+//! scans, an event queue next to per-router deadlines, a
 //! global in-flight counter next to the union of NI queues and VC
 //! buffers. [`SimSanitizer`] cross-checks those views after every event
 //! tick and collects any disagreement as a structured
@@ -111,13 +111,16 @@ pub enum ViolationKind {
         /// The stuck flit's sequence number within the packet.
         seq: u16,
     },
-    /// The event heap and a router's `next_cycle_at` disagree: either
-    /// no live heap entry backs the deadline (the router would sleep
-    /// forever) or the deadline is outside `(now, now + 18]`.
+    /// The event queue and a router's `next_cycle_at` disagree (the
+    /// router would fire at the wrong tick, or never), or the deadline
+    /// is out of place. An awake router's deadline must lie
+    /// in `[now, now + 18]`; a sleeping router's (one more than a cycle
+    /// past its grid origin) must be at or after `now`, on its divisor
+    /// grid, and no later than its next epoch boundary.
     ScheduleConsistency {
         /// The router's next-cycle deadline.
         next_cycle_at: u64,
-        /// Whether a matching heap entry exists.
+        /// Whether the event queue holds the same deadline.
         has_entry: bool,
     },
     /// A buffered flit's `ready_at` violates clock-domain causality:
@@ -169,8 +172,6 @@ pub struct SimSanitizer {
     /// Per-VC front-flit watchdog, indexed `(router · ports + port) ·
     /// vcs + vc`; sized lazily on the first sweep.
     watch: Vec<FrontWatch>,
-    /// Heap-consistency scratch: routers with a live heap entry.
-    seen: Vec<bool>,
     /// `in_flight + flits_delivered` at the previous sweep.
     prev_admitted: u64,
 }
@@ -228,29 +229,33 @@ impl SimSanitizer {
                 .to_ticks(MAX_DIVISOR)
                 .ticks();
 
-        // --- Event-heap consistency: every router's deadline must have
-        // a live entry (stale entries are expected; missing ones mean a
-        // router sleeps forever).
-        self.seen.clear();
-        self.seen.resize(net.routers.len(), false);
-        for &std::cmp::Reverse((t, idx)) in net.sched.iter() {
-            let i = idx as usize;
-            if i < net.routers.len() && net.routers[i].next_cycle_at == t {
-                self.seen[i] = true;
-            }
-        }
-
         let mut total_buffered = 0u64;
         for (i, r) in net.routers.iter().enumerate() {
             let router = Some(r.id);
 
-            // Schedule: every deadline is at most one max-divisor
-            // heartbeat away, never in the past (a missed cycle), and
-            // backed by a live heap entry. `now` itself is legal only
-            // before the first drain (a fresh network).
-            let in_window =
-                r.next_cycle_at >= now && r.next_cycle_at <= now + MAX_DIVISOR.cycle_ticks();
-            if !self.seen[i] || !in_window {
+            // Schedule: every deadline is what the event queue holds for
+            // the router (else it fires at the wrong tick or never) and
+            // never in the past (a missed cycle); `now` itself is legal
+            // only before the first drain (a fresh network). An awake
+            // router's deadline is at most one max-divisor cycle away. A
+            // sleeping router's lies on its grid and does not skip its
+            // next epoch boundary, which must stay a real firing.
+            let div = r.divisor().cycle_ticks();
+            let asleep = r.next_cycle_at > r.cycle_origin + div;
+            let in_window = r.next_cycle_at >= now
+                && if asleep {
+                    let to_epoch = net
+                        .cfg
+                        .epoch_cycles
+                        .saturating_sub(r.cycles_into_epoch)
+                        .max(1);
+                    (r.next_cycle_at - r.cycle_origin) % div == 0
+                        && r.next_cycle_at <= r.cycle_origin + to_epoch * div
+                } else {
+                    r.next_cycle_at <= now + MAX_DIVISOR.cycle_ticks()
+                };
+            let has_entry = net.sched.tick(i) == r.next_cycle_at;
+            if !has_entry || !in_window {
                 self.emit(InvariantViolation {
                     tick: now,
                     router,
@@ -258,7 +263,7 @@ impl SimSanitizer {
                     vc: None,
                     kind: ViolationKind::ScheduleConsistency {
                         next_cycle_at: r.next_cycle_at,
-                        has_entry: self.seen[i],
+                        has_entry,
                     },
                 });
             }
@@ -538,13 +543,11 @@ mod tests {
         let mut san = SimSanitizer::default();
         san.check_tick(&n); // arms the watchdog
         assert_eq!(san.violation_count(), 0);
-        n.now = 200_000; // 10 µs at 18 GHz is 180 000 ticks
-                         // The jump strands every router's deadline; re-arm them so only
-                         // the watchdog is under test.
-        for i in 0..n.routers.len() {
-            n.routers[i].next_cycle_at = n.now + 8;
-            n.sched.push(std::cmp::Reverse((n.now + 8, i as u32)));
-        }
+        // 10 µs at 18 GHz is 180 000 ticks. The jump strands every
+        // router's deadline; fire them all at the new tick so only the
+        // watchdog is under test.
+        n.now = 200_000;
+        rearm_all(&mut n, 8);
         san.check_tick(&n);
         let v = san.first_violation().expect("watchdog fired");
         assert_eq!(v.router, Some(dozznoc_types::RouterId(7)));
@@ -570,10 +573,7 @@ mod tests {
         let mut san = SimSanitizer::default();
         san.check_tick(&n);
         n.now = 200_000;
-        for i in 0..n.routers.len() {
-            n.routers[i].next_cycle_at = n.now + 8;
-            n.sched.push(std::cmp::Reverse((n.now + 8, i as u32)));
-        }
+        rearm_all(&mut n, 8);
         san.check_tick(&n);
         let after_first = san.violation_count();
         // Immediately re-checking at the same tick must not re-report.
@@ -581,17 +581,25 @@ mod tests {
         assert_eq!(san.violation_count(), after_first);
     }
 
-    #[test]
-    fn sleeping_router_without_heap_entry_is_schedule_violation() {
-        let mut n = net();
-        // Fake a fired tick: everyone re-armed to now + divisor except
-        // router 4, whose deadline was reached but never re-pushed.
-        n.now = 16;
+    /// Fake a firing of every router at `n.now`: each re-arms `cycles`
+    /// cycles of its 8-tick M7 grid later (1 = awake, more = asleep).
+    fn rearm_all(n: &mut Network, cycles: u64) {
         for i in 0..n.routers.len() {
-            n.routers[i].next_cycle_at = 24;
-            n.sched.push(std::cmp::Reverse((24, i as u32)));
+            let next = n.now + cycles * 8;
+            n.routers[i].cycle_origin = n.now;
+            n.routers[i].next_cycle_at = next;
+            n.sched.set(i, next);
         }
-        n.routers[4].next_cycle_at = 30; // no heap entry backs this
+    }
+
+    #[test]
+    fn deadline_missing_from_the_event_queue_is_schedule_violation() {
+        let mut n = net();
+        // Fake a fired tick: everyone re-armed to now + divisor, but
+        // router 4's new deadline never reached the event queue.
+        n.now = 16;
+        rearm_all(&mut n, 1);
+        n.routers[4].next_cycle_at = 30; // the event queue still holds 24
         let mut san = SimSanitizer::default();
         san.check_tick(&n);
         let v = san.first_violation().expect("schedule violation");
@@ -609,13 +617,10 @@ mod tests {
     fn stale_deadline_is_schedule_violation_even_with_entry() {
         let mut n = net();
         n.now = 16;
-        for i in 0..n.routers.len() {
-            n.routers[i].next_cycle_at = 24;
-            n.sched.push(std::cmp::Reverse((24, i as u32)));
-        }
+        rearm_all(&mut n, 1);
         // Router 2's deadline sits in the past (missed cycle).
         n.routers[2].next_cycle_at = 10;
-        n.sched.push(std::cmp::Reverse((10, 2)));
+        n.sched.set(2, 10);
         let mut san = SimSanitizer::default();
         san.check_tick(&n);
         assert!(kinds(&san).iter().any(|k| matches!(
@@ -625,6 +630,69 @@ mod tests {
                 has_entry: true
             }
         )));
+    }
+
+    #[test]
+    fn sleeping_router_on_its_grid_within_its_epoch_is_clean() {
+        let mut n = net();
+        // All fired at 16 with one cycle of the epoch done: 499 cycles
+        // to the boundary at 16 + 499 · 8. Sleeping right up to it is
+        // legal, and so is a sleep that ends earlier on the grid.
+        n.now = 16;
+        for r in &mut n.routers {
+            r.cycles_into_epoch = 1;
+        }
+        rearm_all(&mut n, 499);
+        n.routers[5].next_cycle_at = 16 + 40 * 8;
+        n.sched.set(5, 16 + 40 * 8);
+        let mut san = SimSanitizer::default();
+        n.now = 100; // mid-sleep: no cycle has to fire now
+        san.check_tick(&n);
+        assert_eq!(san.violation_count(), 0);
+    }
+
+    #[test]
+    fn sleeping_router_off_its_grid_is_schedule_violation() {
+        let mut n = net();
+        n.now = 16;
+        rearm_all(&mut n, 10);
+        // Router 6 sleeps to a tick its 8-tick grid never reaches.
+        n.routers[6].next_cycle_at = 16 + 10 * 8 + 3;
+        n.sched.set(6, 16 + 10 * 8 + 3);
+        let mut san = SimSanitizer::default();
+        san.check_tick(&n);
+        let v = san.first_violation().expect("schedule violation");
+        assert_eq!(v.router, Some(dozznoc_types::RouterId(6)));
+        assert_eq!(
+            v.kind,
+            ViolationKind::ScheduleConsistency {
+                next_cycle_at: 99,
+                has_entry: true
+            }
+        );
+        assert_eq!(san.violation_count(), 1);
+    }
+
+    #[test]
+    fn sleep_past_the_epoch_boundary_is_schedule_violation() {
+        let mut n = net();
+        n.now = 16;
+        rearm_all(&mut n, 10);
+        // Router 3 is one cycle short of its boundary, so the cycle at
+        // 24 must fire: sleeping to 96 would skip an epoch decision.
+        n.routers[3].cycles_into_epoch = 499;
+        let mut san = SimSanitizer::default();
+        san.check_tick(&n);
+        let v = san.first_violation().expect("schedule violation");
+        assert_eq!(v.router, Some(dozznoc_types::RouterId(3)));
+        assert_eq!(
+            v.kind,
+            ViolationKind::ScheduleConsistency {
+                next_cycle_at: 96,
+                has_entry: true
+            }
+        );
+        assert_eq!(san.violation_count(), 1);
     }
 
     #[test]

@@ -114,6 +114,10 @@ pub struct EpochSample {
 /// Recover a raw per-epoch count from a per-cycle rate. Exact for the
 /// counter magnitudes an epoch can hold (`rate` is `count / cycles`
 /// computed in f64; the round-trip error is far below 0.5).
+#[allow(
+    clippy::cast_possible_truncation,
+    reason = "rounds a non-negative per-epoch count, far below 2^53"
+)]
 fn denormalize(rate: f64, cycles: u64) -> u64 {
     (rate * cycles as f64).round() as u64
 }
