@@ -30,6 +30,9 @@ pub struct VcBuffer {
     capacity: usize,
     owner: Option<PacketId>,
     route: Option<VcRoute>,
+    /// `(tick, can_accept_new_packet, has_space)` as the buffer stood
+    /// before its first push or pop at `tick` ([`VcBuffer::save_view`]).
+    view: (u64, bool, bool),
 }
 
 impl VcBuffer {
@@ -41,6 +44,7 @@ impl VcBuffer {
             capacity,
             owner: None,
             route: None,
+            view: (u64::MAX, true, true),
         }
     }
 
@@ -80,6 +84,26 @@ impl VcBuffer {
     #[inline]
     pub fn can_accept_new_packet(&self) -> bool {
         self.owner.is_none() && self.has_space()
+    }
+
+    /// Save the flags neighbours read ([`VcBuffer::view_at`]) before
+    /// the first push or pop at tick `now`; later ones that tick keep it.
+    #[inline]
+    pub(crate) fn save_view(&mut self, now: u64) {
+        if self.view.0 != now {
+            self.view = (now, self.can_accept_new_packet(), self.has_space());
+        }
+    }
+
+    /// `(can_accept_new_packet, has_space)` as the buffer stood at the
+    /// start of tick `now`: the saved flags if it was pushed or popped
+    /// this tick, its live ones otherwise.
+    #[inline]
+    pub(crate) fn view_at(&self, now: u64) -> (bool, bool) {
+        match self.view {
+            (tick, accepts_new, has_space) if tick == now => (accepts_new, has_space),
+            _ => (self.can_accept_new_packet(), self.has_space()),
+        }
     }
 
     /// The packet currently owning this VC.
@@ -145,62 +169,6 @@ impl VcBuffer {
             self.route = None;
         }
         flit
-    }
-}
-
-/// All VCs of one input port.
-#[derive(Debug, Clone)]
-pub struct InputPort {
-    vcs: Vec<VcBuffer>,
-}
-
-impl InputPort {
-    /// `vcs` buffers of `depth` flits each.
-    pub fn new(vcs: usize, depth: usize) -> Self {
-        InputPort {
-            vcs: (0..vcs).map(|_| VcBuffer::new(depth)).collect(),
-        }
-    }
-
-    /// Immutable VC access.
-    #[inline]
-    pub fn vc(&self, vc: usize) -> &VcBuffer {
-        &self.vcs[vc]
-    }
-
-    /// Mutable VC access.
-    #[inline]
-    pub fn vc_mut(&mut self, vc: usize) -> &mut VcBuffer {
-        &mut self.vcs[vc]
-    }
-
-    /// Number of VCs.
-    #[inline]
-    pub fn num_vcs(&self) -> usize {
-        self.vcs.len()
-    }
-
-    /// Total flits buffered across VCs.
-    pub fn occupancy(&self) -> usize {
-        self.vcs.iter().map(VcBuffer::len).sum()
-    }
-
-    /// True when every VC is empty.
-    pub fn is_empty(&self) -> bool {
-        self.vcs.iter().all(VcBuffer::is_empty)
-    }
-
-    /// Index of a VC that can accept a new packet's head, if any.
-    pub fn free_vc(&self) -> Option<u8> {
-        self.vcs
-            .iter()
-            .position(VcBuffer::can_accept_new_packet)
-            .and_then(|i| u8::try_from(i).ok())
-    }
-
-    /// Iterate over `(vc index, buffer)`.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &VcBuffer)> {
-        self.vcs.iter().enumerate()
     }
 }
 
@@ -284,18 +252,6 @@ mod tests {
         assert_eq!(b.route().expect("route is set").out_vc, Some(2));
         b.pop();
         assert!(b.route().is_none());
-    }
-
-    #[test]
-    fn input_port_free_vc_and_occupancy() {
-        let mut p = InputPort::new(2, 2);
-        assert_eq!(p.free_vc(), Some(0));
-        p.vc_mut(0).push(flits(1, PacketKind::Request)[0], 0);
-        assert_eq!(p.free_vc(), Some(1));
-        assert_eq!(p.occupancy(), 1);
-        assert!(!p.is_empty());
-        p.vc_mut(1).push(flits(2, PacketKind::Request)[0], 0);
-        assert_eq!(p.free_vc(), None);
     }
 
     #[test]

@@ -10,9 +10,12 @@ use dozznoc_types::{ConfigError, MIN_EPOCH_CYCLES};
 pub struct NocConfig {
     /// Network topology.
     pub topology: Topology,
-    /// Virtual channels per input port. A router's input VCs (ports ×
-    /// VCs per port) must number at most 64: the pipeline tracks the
-    /// occupied ones in a 64-bit mask.
+    /// Virtual channels per input port. A router numbers its input VCs
+    /// by slot `port · vcs_per_port + vc` and must have at most 64 of
+    /// them (ports × VCs per port): the pipeline tracks the occupied
+    /// slots in a 64-bit mask, and `Network::new` panics beyond it. Any
+    /// count up to that bound is supported at the same per-flit cost,
+    /// because slots map back to `(port, vc)` by table lookup.
     pub vcs_per_port: usize,
     /// Flit capacity of one VC buffer.
     pub vc_depth: usize,

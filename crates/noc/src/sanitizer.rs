@@ -300,10 +300,8 @@ impl SimSanitizer {
                 });
             }
 
-            for (p, port) in r.ports.iter().enumerate() {
-                for (v, vcb) in port.iter() {
-                    self.check_vc(net, i, p, v, vcb, ready_bound);
-                }
+            for ((p, v), vcb) in r.vcs() {
+                self.check_vc(net, i, p, v, vcb, ready_bound);
             }
         }
 
@@ -396,7 +394,7 @@ impl SimSanitizer {
                         (route.out_port, route.next_router, route.out_vc)
                     {
                         let down_port = Port::Dir(dir.opposite()).index();
-                        let down = net.routers[d.idx()].ports[down_port].vc(out_vc as usize);
+                        let down = net.routers[d.idx()].vc(down_port, usize::from(out_vc));
                         if down.owner() != Some(owner) {
                             self.emit(at(ViolationKind::WormholeState {
                                 reason: "downstream VC not owned by the allocated packet",
@@ -537,7 +535,7 @@ mod tests {
         let mut n = net();
         let local = dozznoc_topology::Port::Local(0).index();
         // Count the planted flit everywhere so only the stall fires.
-        n.routers[7].ports[local].vc_mut(0).push(head_flit(0), 1);
+        n.routers[7].vc_mut(local, 0).push(head_flit(0), 1);
         n.routers[7].buffered_flits += 1;
         n.in_flight += 1;
         let mut san = SimSanitizer::default();
@@ -567,7 +565,7 @@ mod tests {
     fn watchdog_rearms_instead_of_flooding() {
         let mut n = net();
         let local = dozznoc_topology::Port::Local(0).index();
-        n.routers[7].ports[local].vc_mut(0).push(head_flit(0), 1);
+        n.routers[7].vc_mut(local, 0).push(head_flit(0), 1);
         n.routers[7].buffered_flits += 1;
         n.in_flight += 1;
         let mut san = SimSanitizer::default();
@@ -708,7 +706,7 @@ mod tests {
         }
         .flits()
         .collect();
-        let vc = n.routers[0].ports[local].vc_mut(0);
+        let vc = n.routers[0].vc_mut(local, 0);
         vc.push(flits[0], 9);
         vc.push(flits[1], 3); // ready before its predecessor
         n.routers[0].buffered_flits += 2;
@@ -728,12 +726,12 @@ mod tests {
     fn broken_wormhole_linkage_is_detected() {
         let mut n = net();
         let local = dozznoc_topology::Port::Local(0).index();
-        n.routers[0].ports[local].vc_mut(0).push(head_flit(2), 1);
+        n.routers[0].vc_mut(local, 0).push(head_flit(2), 1);
         n.routers[0].buffered_flits += 1;
         n.in_flight += 1;
         // Claim a downstream VC allocation that was never granted: the
         // east neighbor's matching VC is unowned.
-        n.routers[0].ports[local].vc_mut(0).set_route(VcRoute {
+        n.routers[0].vc_mut(local, 0).set_route(VcRoute {
             out_port: Port::Dir(Direction::East),
             next_router: Some(dozznoc_types::RouterId(1)),
             out_vc: Some(0),

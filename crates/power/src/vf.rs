@@ -124,6 +124,10 @@ mod tests {
         // mode; verify our literal encoding is consistent with that rule.
         let t = VfTable::paper();
         for m in ACTIVE_MODES {
+            #[allow(
+                clippy::cast_possible_truncation,
+                reason = "the ceiling of a small positive product is an exact integer"
+            )]
             let derived = (WORST_T_SWITCH_NS * m.freq_ghz()).ceil() as u64;
             assert_eq!(
                 t.timings(m).t_switch_cycles.count(),

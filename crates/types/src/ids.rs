@@ -50,19 +50,21 @@ impl VcId {
     }
 }
 
+/// Panics if `v` exceeds `u16::MAX` (in every build: a wrapped id would
+/// silently alias another router).
 impl From<usize> for RouterId {
     #[inline]
     fn from(v: usize) -> Self {
-        debug_assert!(v <= u16::MAX as usize);
-        RouterId(v as u16)
+        RouterId(u16::try_from(v).expect("router index fits a RouterId"))
     }
 }
 
+/// Panics if `v` exceeds `u16::MAX` (in every build: a wrapped id would
+/// silently alias another core).
 impl From<usize> for CoreId {
     #[inline]
     fn from(v: usize) -> Self {
-        debug_assert!(v <= u16::MAX as usize);
-        CoreId(v as u16)
+        CoreId(u16::try_from(v).expect("core index fits a CoreId"))
     }
 }
 
@@ -92,7 +94,14 @@ mod tests {
     fn idx_round_trip() {
         assert_eq!(RouterId::from(5usize).idx(), 5);
         assert_eq!(CoreId::from(63usize).idx(), 63);
+        assert_eq!(RouterId::from(usize::from(u16::MAX)).0, u16::MAX);
         assert_eq!(VcId(3).idx(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "core index fits a CoreId")]
+    fn out_of_range_index_panics_instead_of_wrapping() {
+        let _ = CoreId::from(usize::from(u16::MAX) + 1);
     }
 
     #[test]

@@ -58,7 +58,7 @@ proptest! {
             inject_time: SimTime::from_ticks(t),
         };
         let flits: Vec<_> = p.flits().collect();
-        prop_assert_eq!(flits.len() as u16, p.flit_count());
+        prop_assert_eq!(flits.len(), usize::from(p.flit_count()));
         prop_assert_eq!(flits.iter().filter(|f| f.kind.is_head()).count(), 1);
         prop_assert_eq!(flits.iter().filter(|f| f.kind.is_tail()).count(), 1);
         for (i, f) in flits.iter().enumerate() {
