@@ -34,9 +34,10 @@
 //!
 //! Every event tick runs in two phases. During the **fire** phase a
 //! router mutates only *its own* state; anything it does to another
-//! router — handing over a flit, taking or releasing a downstream-secure
-//! reference, punching a wake signal — is queued as a deferred
-//! `Effect` instead of applied in place. The **settle** phase then
+//! router — handing over a flit (a tail also releases the
+//! downstream-secure reference its head took), taking a downstream-secure
+//! reference, punching a wake signal — is queued as a deferred `Effect`
+//! instead of applied in place. The **settle** phase then
 //! applies the queued effects in emission order (admissions in packet
 //! order, then firings in router index order).
 //!
@@ -46,13 +47,27 @@
 //! mutates it during the fire phase, its live state is that view until
 //! it fires; what the firing changes, it saves first, stamped with the
 //! tick. A router saves whether it is operational and its divisor as it
-//! starts firing, and a VC saves its two flags before its first push or
-//! pop of the tick. A reader takes the saved value when its tick is
+//! starts firing, and a VC saves its two flags before its first pop of
+//! the tick. Pushes save nothing: link flits land in the settle phase,
+//! after every read, and injected flits land on local ports, which no
+//! neighbour reads. A reader takes the saved value when its tick is
 //! `now` and the live one otherwise.
 //!
 //! That rule is what the goldens pin: a router that fires later in a
 //! tick never sees an earlier router's same-tick changes or effects, so
 //! the outcome does not depend on router iteration order.
+//!
+//! ## One walk per firing
+//!
+//! An operational router with buffered flits does its per-VC work in one
+//! walk of its occupied-VC mask ([`Router::occupied`](Router)): an
+//! unrouted packet head gets its output port and look-ahead router from
+//! one table read ([`XyRouter::route`]) and secures that router, and a
+//! ready routed head joins its output port's candidate mask (one `u64`
+//! of VC slots per output). Each output with candidates then grants the
+//! first one, in round-robin order from its pointer, that can send.
+//! Occupancy sampling reads per-class flit counts that the router's push
+//! and pop keep, so it walks nothing.
 //!
 //! ## Power mechanics
 //!
@@ -143,10 +158,11 @@ impl std::error::Error for SimError {}
 ///
 /// Every mutation of a router other than the one currently firing is
 /// expressed as one of these; the settle phase applies them in emission
-/// order. `Punch` and `Secure` are emitted *unconditionally* (no "is the
-/// target gated?" check at the emitter): the emitter only has the
-/// start-of-tick view of its neighbors, so the gate check happens at
-/// apply time against the target's live state.
+/// order. `Punch` and `Secure` carry no "is the target gated?" check at
+/// the emitter: the emitter only has the start-of-tick view of its
+/// neighbors, so the gate check happens at apply time against the
+/// target's live state. A run whose policy never gates emits no `Punch`:
+/// no router can be gated, so every punch would be a no-op.
 #[derive(Debug, Clone, Copy)]
 enum Effect {
     /// Admission-time wake punch along a packet's XY path.
@@ -160,12 +176,9 @@ enum Effect {
         /// Target router index.
         router: usize,
     },
-    /// Release of a downstream-secure reference (the tail departed).
-    Unsecure {
-        /// Target router index.
-        router: usize,
-    },
-    /// A flit crossing a link into a downstream router's input VC.
+    /// A flit crossing a link into a downstream router's input VC. A
+    /// tail also releases the downstream-secure reference its packet's
+    /// head took on this router at route compute.
     Transfer {
         /// Downstream router index.
         dst: usize,
@@ -184,6 +197,22 @@ enum Effect {
 /// dense trace positions).
 fn packet_index(flit: Flit) -> usize {
     usize::try_from(flit.packet.0).expect("packet ids index the trace")
+}
+
+/// The VC slots set in `mask`, in round-robin order from slot `start`:
+/// every slot at or past `start` ascending, then the wrap-around
+/// ascending.
+fn rr_order(mask: u64, start: usize) -> impl Iterator<Item = usize> {
+    let start = u32::try_from(start).expect("VC slots fit a 64-bit mask");
+    let mut bits = mask.rotate_right(start);
+    std::iter::from_fn(move || {
+        if bits == 0 {
+            return None;
+        }
+        let b = bits.trailing_zeros();
+        bits &= bits - 1;
+        Some(((b + start) & 63) as usize)
+    })
 }
 
 /// The simulated network.
@@ -225,12 +254,11 @@ pub struct Network {
     /// through [`Network::arm`], which re-keys the router here in
     /// `O(log n)`, earlier (a wake) or later (a sleep) alike.
     pub(crate) sched: EventQueue,
-    /// Switch-allocation scratch: candidate input slots bucketed by
-    /// output port (flattened `n_ports × n_slots`), reused every cycle
-    /// so the allocator never allocates.
-    sa_cand: Vec<usize>,
-    /// Number of live candidates per output-port bucket in `sa_cand`.
-    sa_cand_len: Vec<usize>,
+    /// Switch-allocation scratch: per output port, the mask of its
+    /// candidate input VC slots. A firing writes the entry of an output
+    /// the first time it sees a candidate for it, and reads only those
+    /// outputs, so the scratch is never cleared.
+    out_cand: Vec<u64>,
     /// The policy's [`PowerPolicy::gating_enabled`], read once per run:
     /// the sleep bound of an idle active router depends on it.
     gating: bool,
@@ -280,12 +308,7 @@ impl Network {
             energy_prev: Vec::new(),
             // Every router starts with next_cycle_at == 0.
             sched: EventQueue::new(n, 0),
-            sa_cand: {
-                let n_ports = topo.ports_per_router();
-                let n_slots = n_ports * cfg.vcs_per_port;
-                vec![0; n_ports * n_slots]
-            },
-            sa_cand_len: vec![0; topo.ports_per_router()],
+            out_cand: vec![0; topo.ports_per_router()],
             gating: false,
             #[allow(
                 clippy::disallowed_methods,
@@ -518,15 +541,17 @@ impl Network {
             // still upstream — this is what makes the gating *partially
             // non-blocking* rather than adding a full T-Wakeup per hop.
             // (Routers are only *secured* one hop ahead, at route
-            // compute.)
-            if self.cfg.wake_punch {
-                let path = self.xy.path(p.src, p.dst);
-                self.outbox
-                    .extend(path.iter().map(|hop| Effect::Punch { router: hop.idx() }));
-            } else {
-                // Ablation: only the home router wakes at injection;
-                // downstream routers wait for the one-hop look-ahead.
-                self.outbox.push(Effect::Punch { router: home });
+            // compute.) A policy that never gates has no router to punch.
+            if self.gating {
+                if self.cfg.wake_punch {
+                    let path = self.xy.path(p.src, p.dst);
+                    self.outbox
+                        .extend(path.iter().map(|hop| Effect::Punch { router: hop.idx() }));
+                } else {
+                    // Ablation: only the home router wakes at injection;
+                    // downstream routers wait for the one-hop look-ahead.
+                    self.outbox.push(Effect::Punch { router: home });
+                }
             }
             *next_pkt += 1;
         }
@@ -682,10 +707,6 @@ impl Network {
                 self.wake(router, self.now + 1);
                 self.secure(router);
             }
-            Effect::Unsecure { router } => {
-                self.wake(router, self.now + 1);
-                self.unsecure(router);
-            }
             Effect::Transfer {
                 dst,
                 port,
@@ -695,8 +716,11 @@ impl Network {
             } => {
                 self.wake(dst, self.now + 1);
                 let r = &mut self.routers[dst];
-                r.push_flit(port, usize::from(vc), flit, ready_at, self.now);
+                r.push_flit(port, usize::from(vc), flit, ready_at);
                 r.counters.flits_in[port_class(port)] += 1;
+                if flit.kind.is_tail() {
+                    self.unsecure(dst);
+                }
             }
         }
     }
@@ -754,13 +778,12 @@ impl Network {
                         "buffered-flit count drifted from the buffers"
                     );
                     debug_assert!(
-                        self.routers[i].occupied_mask_matches_buffers(),
-                        "occupied-VC mask drifted from the buffers"
+                        self.routers[i].occupancy_matches_buffers(),
+                        "occupied-VC mask or class counts drifted from the buffers"
                     );
-                    // Nothing buffered means both scans below are
-                    // no-ops; most routers are empty most cycles.
+                    // Nothing buffered means the walk below is a no-op;
+                    // most routers are empty most cycles.
                     if self.routers[i].buffered_flits > 0 {
-                        self.route_compute(i);
                         self.switch_allocate(i);
                     }
                 }
@@ -850,7 +873,7 @@ impl Network {
                 + DomainCycles::new(self.cfg.pipeline_cycles - 1)
                     .to_ticks(divisor)
                     .ticks();
-            r.push_flit(port_idx, vc, flit, ready, self.now);
+            r.push_flit(port_idx, vc, flit, ready);
             if flit.kind.is_head() {
                 self.net_entry[packet_index(flit)] = self.now;
             }
@@ -870,112 +893,74 @@ impl Network {
         }
     }
 
-    /// Compute routes (and secure/wake downstream routers) for every VC
-    /// holding an unrouted packet head.
-    fn route_compute(&mut self, i: usize) {
-        let router_id = self.routers[i].id;
-        let occupied = self.routers[i].slots(self.routers[i].occupied);
-        for (p, v) in occupied {
-            let vc = self.routers[i].vc(p, v);
-            if vc.owner().is_none() || vc.route().is_some() {
-                continue;
-            }
-            let dst = vc
-                .peek_ready(u64::MAX)
-                .expect("non-empty VC has a front flit")
-                .dst;
-            let out_port = self.xy.output_port(router_id, dst);
-            let next_router = self.xy.next_hop(router_id, dst);
-            self.routers[i].vc_mut(p, v).set_route(VcRoute {
-                out_port,
-                next_router,
-                out_vc: None,
-            });
-            if let Some(d) = next_router {
-                self.outbox.push(Effect::Secure { router: d.idx() });
-            }
-        }
-    }
-
-    /// Switch allocation: for every output port pick one ready input VC
-    /// (round-robin) and move its head flit.
+    /// Route compute and switch allocation, in one walk of the occupied
+    /// VCs.
     ///
-    /// One read-only pass over the input VCs buckets every ready routed
-    /// head by output port into a scratch buffer owned by the network
-    /// (no per-cycle allocation); each output then walks its bucket in
-    /// rotation order from its round-robin pointer. Bucketing first is
-    /// sound because a granted send only mutates the winning VC and the
-    /// *downstream* router, never another input VC's candidacy on this
-    /// router.
+    /// The walk gives every unrouted packet head its route, securing
+    /// (and so waking) its downstream router, and adds every ready routed
+    /// head to its output port's candidate mask. The `Secure`s go out in
+    /// slot order, before any `Transfer`. Then each output with
+    /// candidates, in port order, grants the first candidate in
+    /// round-robin order from its pointer ([`rr_order`]) that can send.
+    /// Gathering first is sound because a granted send only mutates the
+    /// winning VC and the *downstream* router, never another input VC's
+    /// candidacy on this router.
     fn switch_allocate(&mut self, i: usize) {
-        let n_ports = self.topo.ports_per_router();
-        let n_vcs = self.cfg.vcs_per_port;
-        let n_slots = n_ports * n_vcs;
-        // Gather: slot s = p·n_vcs + v, ascending per bucket.
-        let mut total = 0usize;
-        {
-            let router = &self.routers[i];
-            let cand = &mut self.sa_cand;
-            let cand_len = &mut self.sa_cand_len;
-            cand_len[..n_ports].fill(0);
-            for (p, v) in router.slots(router.occupied) {
-                let vc = router.vc(p, v);
-                if let Some(route) = vc.route() {
-                    if vc.peek_ready(self.now).is_some() {
-                        let out = route.out_port.index();
-                        cand[out * n_slots + cand_len[out]] = p * n_vcs + v;
-                        cand_len[out] += 1;
-                        total += 1;
+        let now = self.now;
+        let r = &mut self.routers[i];
+        let n_slots = r.buffers.len();
+        let mut outs = 0u64;
+        let mut occupied = r.occupied;
+        while occupied != 0 {
+            let slot = occupied.trailing_zeros() as usize;
+            occupied &= occupied - 1;
+            let vc = &mut r.buffers[slot];
+            let &(flit, ready_at) = vc.front().expect("occupied VC has a front flit");
+            let out_port = match vc.route() {
+                Some(route) => route.out_port,
+                None => {
+                    // An unrouted VC holds its packet's head at the front.
+                    let (out_port, next_router) = self.xy.route(r.id, flit.dst);
+                    vc.set_route(VcRoute {
+                        out_port,
+                        next_router,
+                        out_vc: None,
+                    });
+                    if let Some(d) = next_router {
+                        self.outbox.push(Effect::Secure { router: d.idx() });
                     }
+                    out_port
                 }
+            };
+            if ready_at <= now {
+                let out = out_port.index();
+                let bit = 1u64 << slot;
+                let first = (outs >> out) & 1 == 0;
+                self.out_cand[out] = if first { bit } else { self.out_cand[out] | bit };
+                outs |= 1 << out;
             }
-        }
-        if total == 0 {
-            return;
         }
         // Stall gauges are per router *cycle*, not per output port: a
         // 5-port router must book at most one stall cycle per cycle.
         let mut credit_stalled = false;
         let mut contended = false;
-        for out in 0..n_ports {
-            let n_candidates = self.sa_cand_len[out];
-            if n_candidates == 0 {
-                continue;
-            }
-            // Round-robin among candidates, starting after the last
-            // winner for this output: the bucket is ascending, so the
-            // rotation order is everything at or past `start`, then the
-            // wrap-around — no sort needed. A candidate that cannot
-            // actually send (downstream gated, no free VC, no space)
-            // must not hold the grant — skipping it is what keeps a
-            // blocked head from starving every other packet on this
-            // output.
+        while outs != 0 {
+            let out = outs.trailing_zeros() as usize;
+            outs &= outs - 1;
+            let cand = self.out_cand[out];
+            // A candidate that cannot actually send (downstream gated, no
+            // free VC, no space) must not hold the grant — skipping it is
+            // what keeps a blocked head from starving every other packet
+            // on this output.
             let start = self.routers[i].sa_rr[out];
-            let base = out * n_slots;
-            let bucket = &self.sa_cand[base..base + n_candidates];
-            let pivot = bucket.partition_point(|&s| s < start);
-            let mut sent = false;
-            for j in 0..n_candidates {
-                let k = pivot + j;
-                let k = if k < n_candidates {
-                    k
-                } else {
-                    k - n_candidates
-                };
-                let s = self.sa_cand[base + k];
-                let (p, v) = self.routers[i].port_vc(s);
-                if self.try_send(i, p, v) {
+            match rr_order(cand, start).find(|&s| self.try_send(i, s)) {
+                Some(s) => {
                     self.routers[i].sa_rr[out] = if s + 1 == n_slots { 0 } else { s + 1 };
-                    sent = true;
-                    break;
+                    // Losers of a granted output stalled this cycle.
+                    contended |= cand & (cand - 1) != 0;
                 }
-            }
-            if !sent {
                 // Every candidate was blocked downstream.
-                credit_stalled = true;
-            } else if n_candidates > 1 {
-                // Losers of a granted output stalled this cycle.
-                contended = true;
+                None => credit_stalled = true,
             }
         }
         let c = &mut self.routers[i].counters;
@@ -983,13 +968,14 @@ impl Network {
         c.stall_cycles += contended as u64;
     }
 
-    /// Try to move the head flit of `(port, vc)` through the switch.
-    /// Returns false when blocked on downstream state or space.
-    fn try_send(&mut self, i: usize, port: usize, vc: usize) -> bool {
-        let route = *self.routers[i].vc(port, vc).route().expect("routed VC");
+    /// Try to move the head flit of input VC slot `slot` through the
+    /// switch. Returns false when blocked on downstream state or space.
+    fn try_send(&mut self, i: usize, slot: usize) -> bool {
+        let vc = &self.routers[i].buffers[slot];
+        let route = *vc.route().expect("routed VC");
         match route.out_port {
             Port::Local(_) => {
-                self.eject(i, port, vc, route.out_port);
+                self.eject(i, slot, route.out_port);
                 true
             }
             Port::Dir(dir) => {
@@ -1011,8 +997,7 @@ impl Network {
                     return false;
                 }
                 let down_port = Port::Dir(dir.opposite()).index();
-                let flit_is_head = self.routers[i]
-                    .vc(port, vc)
+                let flit_is_head = vc
                     .peek_ready(self.now)
                     .expect("caller checked readiness")
                     .kind
@@ -1033,11 +1018,11 @@ impl Network {
                     return false;
                 }
                 if flit_is_head {
-                    self.routers[i].vc_mut(port, vc).set_out_vc(down_vc);
+                    self.routers[i].buffers[slot].set_out_vc(down_vc);
                 }
                 // Grant: pop here, hand the flit over as a transfer
                 // applied at the end of the tick.
-                let flit = self.routers[i].pop_flit(port, vc, self.now);
+                let flit = self.routers[i].pop_flit(slot, self.now);
                 let mode = match self.routers[i].state {
                     PowerState::Active(m) => m,
                     _ => unreachable!("only active routers allocate"),
@@ -1062,17 +1047,14 @@ impl Network {
                     flit,
                     ready_at: ready,
                 });
-                if flit.kind.is_tail() {
-                    self.outbox.push(Effect::Unsecure { router: d });
-                }
                 true
             }
         }
     }
 
-    /// Eject the head flit of `(port, vc)` to the attached core.
-    fn eject(&mut self, i: usize, port: usize, vc: usize, out_port: Port) {
-        let flit = self.routers[i].pop_flit(port, vc, self.now);
+    /// Eject the head flit of input VC slot `slot` to the attached core.
+    fn eject(&mut self, i: usize, slot: usize, out_port: Port) {
+        let flit = self.routers[i].pop_flit(slot, self.now);
         let mode = match self.routers[i].state {
             PowerState::Active(m) => m,
             _ => unreachable!("only active routers eject"),
@@ -1484,14 +1466,14 @@ mod tests {
         let west = dozznoc_topology::Port::Dir(Direction::West);
         // Local input VC 0 → east; north input VC 0 → west.
         let local = dozznoc_topology::Port::Local(0).index();
-        net.routers[i].push_flit(local, 0, head_flit(0, 9, 15), 0, 0);
+        net.routers[i].push_flit(local, 0, head_flit(0, 9, 15), 0);
         net.routers[i].vc_mut(local, 0).set_route(VcRoute {
             out_port: east,
             next_router: Some(RouterId(10)),
             out_vc: None,
         });
         let north = dozznoc_topology::Port::Dir(Direction::North).index();
-        net.routers[i].push_flit(north, 0, head_flit(1, 9, 8), 0, 0);
+        net.routers[i].push_flit(north, 0, head_flit(1, 9, 8), 0);
         net.routers[i].vc_mut(north, 0).set_route(VcRoute {
             out_port: west,
             next_router: Some(RouterId(8)),
@@ -1535,13 +1517,13 @@ mod tests {
         // Router 9's east port: VC 0 holds a single-flit packet that
         // ejects at tick 8 (its tail pop frees the VC); VCs 1–3 are
         // owned by heads that never become ready.
-        net.routers[9].push_flit(east, 0, head_flit(0, 10, 9), 8, 0);
+        net.routers[9].push_flit(east, 0, head_flit(0, 10, 9), 8);
         for v in 1..4u64 {
             let head = response_flits(v, 10, 8)[0];
-            net.routers[9].push_flit(east, usize::try_from(v).expect("small"), head, 10_000, 0);
+            net.routers[9].push_flit(east, usize::try_from(v).expect("small"), head, 10_000);
         }
         // Router 10 holds a head bound west through router 9.
-        net.routers[10].push_flit(local, 0, head_flit(4, 10, 8), 8, 0);
+        net.routers[10].push_flit(local, 0, head_flit(4, 10, 8), 8);
         advance_to(&mut net, &mut policy, 0);
         advance_to(&mut net, &mut policy, 8);
         assert!(net.routers[9].vc(east, 0).can_accept_new_packet());
@@ -1565,11 +1547,11 @@ mod tests {
         // router 10 with VC 0 already allocated downstream.
         let flits = response_flits(0, 10, 9);
         for &f in &flits[..4] {
-            net.routers[9].push_flit(east, 0, f, 8, 0);
+            net.routers[9].push_flit(east, 0, f, 8);
         }
-        net.routers[10].push_flit(local, 0, flits[0], 0, 0);
-        net.routers[10].push_flit(local, 0, flits[4], 8, 0);
-        net.routers[10].pop_flit(local, 0, 0);
+        net.routers[10].push_flit(local, 0, flits[0], 0);
+        net.routers[10].push_flit(local, 0, flits[4], 8);
+        net.routers[10].pop_flit(local * net.cfg.vcs_per_port, 0);
         net.routers[10].vc_mut(local, 0).set_route(VcRoute {
             out_port: Port::Dir(dozznoc_topology::Direction::West),
             next_router: Some(RouterId(9)),
@@ -1598,8 +1580,8 @@ mod tests {
         // Router 10 holds a response's head and first body flit, bound
         // west through router 9 and ready at ticks 8 and 16.
         let flits = response_flits(0, 10, 8);
-        net.routers[10].push_flit(local, 0, flits[0], 8, 0);
-        net.routers[10].push_flit(local, 0, flits[1], 16, 0);
+        net.routers[10].push_flit(local, 0, flits[0], 8);
+        net.routers[10].push_flit(local, 0, flits[1], 16);
         advance_to(&mut net, &mut policy, 0);
         advance_to(&mut net, &mut policy, 8);
         assert_eq!(net.routers[9].state, PowerState::Active(Mode::M6));
@@ -1713,6 +1695,9 @@ mod tests {
         // have fired at 8, 16, 24, 32 and 40 before this tick settles.
         net.now = 40;
         let north = Port::Dir(dozznoc_topology::Direction::North).index();
+        // The single-flit packet is its own tail: its transfer releases
+        // the secure reference the upstream route compute took.
+        net.outbox.push(Effect::Secure { router: 9 });
         net.outbox.push(Effect::Transfer {
             dst: 9,
             port: north,
@@ -1813,10 +1798,11 @@ mod tests {
         advance_to(&mut net, &mut policy, 37);
         assert!(net.routers[8].state.is_inactive());
         assert!(!net.routers[i].state.is_inactive());
-        // Released at 37: cycles 8..=32 were secured; the router's next
-        // cycle is 40, where every gate-off condition holds.
-        net.outbox.push(Effect::Unsecure { router: 9 });
-        net.settle();
+        // Released at 37 the way a tail's transfer releases it: cycles
+        // 8..=32 were secured; the router's next cycle is 40, where every
+        // gate-off condition holds.
+        net.wake(i, net.now + 1);
+        net.unsecure(i);
         let r = &net.routers[i];
         assert_eq!(r.counters.secured_cycles, 5);
         assert_eq!(r.idle_streak, 5);
@@ -1922,6 +1908,57 @@ mod tests {
             .run(&t, &mut AlwaysMode::new(Mode::M7))
             .expect_err("a cross-mesh packet cannot drain in zero remaining ticks");
         assert_eq!(err, SimError::Livelock { in_flight: 1 });
+    }
+
+    /// The bucket-and-`partition_point` rotation that the candidate
+    /// masks replaced: the candidates ascending, rotated to start at the
+    /// first one at or past `start`.
+    fn bucket_order(mask: u64, start: usize) -> Vec<usize> {
+        let bucket: Vec<usize> = (0..64).filter(|&s| (mask >> s) & 1 == 1).collect();
+        let pivot = bucket.partition_point(|&s| s < start);
+        (0..bucket.len())
+            .map(|j| bucket[(pivot + j) % bucket.len()])
+            .collect()
+    }
+
+    mod rr {
+        use super::{bucket_order, rr_order};
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Round-robin over a candidate mask visits the candidates in
+            /// the bucket rotation's order, so it grants the same slot
+            /// whichever candidates are blocked downstream.
+            #[test]
+            fn rr_order_grants_like_the_bucket_rotation(
+                n_slots in 1usize..65,
+                mask in any::<u64>(),
+                sparse in any::<bool>(),
+                thin in any::<u64>(),
+                blocked in any::<u64>(),
+                start in any::<prop::sample::Index>(),
+            ) {
+                let live = if n_slots == 64 { u64::MAX } else { (1 << n_slots) - 1 };
+                let mask = mask & live & if sparse { thin } else { u64::MAX };
+                let start = start.index(n_slots);
+                let order: Vec<usize> = rr_order(mask, start).collect();
+                prop_assert_eq!(&order, &bucket_order(mask, start));
+                let can_send = |&s: &usize| (blocked >> s) & 1 == 0;
+                prop_assert_eq!(
+                    rr_order(mask, start).find(can_send),
+                    bucket_order(mask, start).into_iter().find(can_send)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rr_order_starts_at_the_pointer_and_wraps() {
+        let mask = 1 << 2 | 1 << 5 | 1 << 9 | 1 << 63;
+        assert_eq!(rr_order(mask, 5).collect::<Vec<_>>(), [5, 9, 63, 2]);
+        assert_eq!(rr_order(mask, 6).collect::<Vec<_>>(), [9, 63, 2, 5]);
+        assert_eq!(rr_order(mask, 0).collect::<Vec<_>>(), [2, 5, 9, 63]);
+        assert_eq!(rr_order(0, 7).count(), 0);
     }
 
     #[test]

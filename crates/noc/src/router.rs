@@ -105,14 +105,18 @@ pub struct Router {
     /// Round-robin switch-allocation pointer per output port.
     pub sa_rr: Vec<usize>,
     /// Buffered-flit count, maintained incrementally by the router's one
-    /// push and one pop path. Lets the pipeline skip the route-compute
-    /// and switch-allocation stages outright for routers with nothing
-    /// buffered (the common case); asserted against the authoritative
+    /// push and one pop path. Lets the pipeline skip route compute and
+    /// switch allocation outright for routers with nothing buffered (the
+    /// common case); asserted against the authoritative
     /// [`Router::occupancy`] scan in debug builds.
     pub buffered_flits: u32,
+    /// Buffered flits per port class, maintained beside
+    /// `buffered_flits`: occupancy sampling reads them instead of
+    /// walking the buffers.
+    class_flits: [u32; PORT_CLASSES],
     /// Input VCs holding at least one flit, one bit per VC slot
-    /// `port · vcs_per_port + vc`. The pipeline stages visit only these
-    /// VCs, in ascending slot order, instead of scanning every buffer.
+    /// `port · vcs_per_port + vc`. Route compute and switch allocation
+    /// visit only these VCs, in ascending slot order, in one walk.
     pub(crate) occupied: u64,
     /// `(tick, operational(tick), divisor())` as the router stood when
     /// its firing at `tick` began ([`Router::view_at`]).
@@ -136,7 +140,9 @@ pub struct Router {
     /// Lifetime gate-off count.
     pub lifetime_gate_offs: u64,
     /// Input VC buffers, indexed by slot `port · vcs_per_port + vc`.
-    buffers: Vec<VcBuffer>,
+    /// Only [`Router::push_flit`] and [`Router::pop_flit`] change their
+    /// lengths, which keeps the counts and the slot mask in step.
+    pub(crate) buffers: Vec<VcBuffer>,
     buffer_capacity: usize,
     class_capacity: [usize; PORT_CLASSES],
     class_ports: [usize; PORT_CLASSES],
@@ -150,9 +156,9 @@ pub struct Router {
 const MAX_SLOTS: usize = 64;
 
 /// `SLOT_DECODE[n][slot]` is `(slot / n, slot % n)`, the `(port, vc)`
-/// of a VC slot when every port has `n` VCs (row 0 is never read). The
-/// pipeline walks slots every cycle; a table lookup keeps the division
-/// by a runtime VC count off that path.
+/// of a VC slot when every port has `n` VCs (row 0 is never read). Every
+/// pop decodes its slot's port; a table lookup keeps the division by a
+/// runtime VC count off that path.
 static SLOT_DECODE: [[(u8, u8); MAX_SLOTS]; MAX_SLOTS + 1] = {
     let mut table = [[(0, 0); MAX_SLOTS]; MAX_SLOTS + 1];
     let mut n = 1;
@@ -171,27 +177,6 @@ static SLOT_DECODE: [[(u8, u8); MAX_SLOTS]; MAX_SLOTS + 1] = {
     }
     table
 };
-
-/// The `(port, vc)` pairs of the set bits of a VC-slot mask, ascending.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Slots {
-    bits: u64,
-    decode: &'static [(u8, u8); MAX_SLOTS],
-}
-
-impl Iterator for Slots {
-    type Item = (usize, usize);
-
-    #[inline]
-    fn next(&mut self) -> Option<(usize, usize)> {
-        if self.bits == 0 {
-            return None;
-        }
-        let (port, vc) = self.decode[self.bits.trailing_zeros() as usize];
-        self.bits &= self.bits - 1;
-        Some((usize::from(port), usize::from(vc)))
-    }
-}
 
 impl Router {
     /// A fresh router in the baseline state (active at M7).
@@ -221,6 +206,7 @@ impl Router {
             idle_streak: 0,
             sa_rr: vec![0; n_ports],
             buffered_flits: 0,
+            class_flits: [0; PORT_CLASSES],
             occupied: 0,
             view: (u64::MAX, false, Mode::M7.divisor()),
             cycles_into_epoch: 0,
@@ -241,15 +227,6 @@ impl Router {
         }
     }
 
-    /// The `(port, vc)` of every VC slot set in `mask`, ascending.
-    #[inline]
-    pub(crate) fn slots(&self, mask: u64) -> Slots {
-        Slots {
-            bits: mask,
-            decode: self.decode,
-        }
-    }
-
     /// The `(port, vc)` of VC slot `slot`.
     #[inline]
     pub(crate) fn port_vc(&self, slot: usize) -> (usize, usize) {
@@ -264,7 +241,7 @@ impl Router {
     }
 
     /// Mutable access to input VC `vc` of input port `port`.
-    #[inline]
+    #[cfg(test)]
     pub(crate) fn vc_mut(&mut self, port: usize, vc: usize) -> &mut VcBuffer {
         &mut self.buffers[port * self.vcs_per_port + vc]
     }
@@ -318,31 +295,27 @@ impl Router {
         }
     }
 
-    /// Buffer `flit` in input VC `(port, vc)` at tick `now`, keeping the
-    /// occupancy count and the VC-slot mask in step with the buffers.
+    /// Buffer `flit` in input VC `(port, vc)`, keeping the occupancy
+    /// counts and the VC-slot mask in step with the buffers.
+    ///
+    /// A push saves no start-of-tick view: a flit lands on a link port
+    /// only in the settle phase, after every neighbour read of the tick,
+    /// and a core injects only into a local port, which no neighbour
+    /// reads.
     #[inline]
-    pub(crate) fn push_flit(
-        &mut self,
-        port: usize,
-        vc: usize,
-        flit: Flit,
-        ready_at: u64,
-        now: u64,
-    ) {
+    pub(crate) fn push_flit(&mut self, port: usize, vc: usize, flit: Flit, ready_at: u64) {
         let slot = port * self.vcs_per_port + vc;
-        let buf = &mut self.buffers[slot];
-        buf.save_view(now);
-        buf.push(flit, ready_at);
+        self.buffers[slot].push(flit, ready_at);
         self.buffered_flits += 1;
+        self.class_flits[port_class(port)] += 1;
         self.occupied |= 1u64 << slot;
     }
 
-    /// Dequeue the head flit of input VC `(port, vc)` at tick `now`,
-    /// keeping the occupancy count and the VC-slot mask in step with the
-    /// buffers.
+    /// Dequeue the head flit of input VC slot `slot` at tick `now`,
+    /// saving the VC's start-of-tick view first and keeping the occupancy
+    /// counts and the VC-slot mask in step with the buffers.
     #[inline]
-    pub(crate) fn pop_flit(&mut self, port: usize, vc: usize, now: u64) -> Flit {
-        let slot = port * self.vcs_per_port + vc;
+    pub(crate) fn pop_flit(&mut self, slot: usize, now: u64) -> Flit {
         let buf = &mut self.buffers[slot];
         buf.save_view(now);
         let flit = buf.pop();
@@ -350,6 +323,7 @@ impl Router {
             self.occupied &= !(1u64 << slot);
         }
         self.buffered_flits -= 1;
+        self.class_flits[port_class(self.port_vc(slot).0)] -= 1;
         flit
     }
 
@@ -364,15 +338,22 @@ impl Router {
     }
 
     /// True when [`Router::occupied`](Router) has exactly the bits of
-    /// the non-empty VCs (debug cross-check of the incremental mask).
-    pub(crate) fn occupied_mask_matches_buffers(&self) -> bool {
+    /// the non-empty VCs and the per-class counts match the buffers
+    /// (debug cross-check of the incremental bookkeeping).
+    pub(crate) fn occupancy_matches_buffers(&self) -> bool {
         let mut mask = 0u64;
+        let mut classes = [0usize; PORT_CLASSES];
         for (s, buf) in self.buffers.iter().enumerate() {
             if !buf.is_empty() {
                 mask |= 1 << s;
             }
+            classes[port_class(self.port_vc(s).0)] += buf.len();
         }
         mask == self.occupied
+            && classes
+                .iter()
+                .zip(&self.class_flits)
+                .all(|(&a, &b)| a == b as usize)
     }
 
     /// True when every input buffer is empty.
@@ -400,16 +381,12 @@ impl Router {
     /// Sample per-cycle gauges into the epoch counters. `secured` is the
     /// network's downstream-secure count for this router.
     pub fn sample_cycle(&mut self, secured: bool) {
-        let occupied = self.slots(self.occupied);
-        let n = self.vcs_per_port;
         let c = &mut self.counters;
         c.cycles += 1;
-        let mut occ = 0u64;
-        for (p, v) in occupied {
-            let len = self.buffers[p * n + v].len() as u64;
-            occ += len;
-            c.class_occupancy[port_class(p)] += len;
+        for (sum, &n) in c.class_occupancy.iter_mut().zip(&self.class_flits) {
+            *sum += u64::from(n);
         }
+        let occ = u64::from(self.buffered_flits);
         c.occupancy_flit_cycles += occ;
         c.occupancy_peak = c.occupancy_peak.max(occ);
         if occ == 0 {
@@ -576,8 +553,7 @@ mod tests {
             }
         }
         let r = router();
-        let slots: Vec<_> = r.slots(1 << 0 | 1 << 7 | 1 << 19).collect();
-        assert_eq!(slots, [(0, 0), (1, 3), (4, 3)]);
+        assert_eq!([0, 7, 19].map(|s| r.port_vc(s)), [(0, 0), (1, 3), (4, 3)]);
     }
 
     #[test]
@@ -596,22 +572,26 @@ mod tests {
         };
         let mut r = router();
         assert_eq!(r.free_vc(1), Some(0));
-        r.push_flit(1, 0, head(1), 0, 5);
+        r.push_flit(1, 0, head(1), 0);
         assert_eq!(r.free_vc(1), Some(1));
         assert_eq!(r.vc(1, 0).owner(), Some(PacketId(1)));
         assert_eq!(r.vcs().nth(4).map(|(pv, _)| pv), Some((1, 0)));
         assert_eq!(r.occupancy(), 1);
-        // A neighbour reading during tick 5 still sees VC 0 free.
-        assert_eq!(r.free_vc_at(1, 5), Some(0));
+        // Pushes land after every neighbour read of their tick, so they
+        // save no view: any later tick reads the live state.
         assert_eq!(r.free_vc_at(1, 6), Some(1));
         for v in 1..4 {
-            r.push_flit(1, v, head(2), 0, 6);
+            r.push_flit(1, v, head(2), 0);
         }
         assert_eq!(r.free_vc(1), None);
-        assert_eq!(r.free_vc_at(1, 6), Some(1));
-        r.pop_flit(1, 0, 7);
+        assert_eq!(r.free_vc_at(1, 6), None);
+        // A pop at tick 7 saves the view first: a neighbour reading
+        // during tick 7 still sees every VC owned.
+        r.pop_flit(4, 7);
         assert_eq!(r.free_vc(1), Some(0));
         assert_eq!(r.free_vc_at(1, 7), None);
+        assert_eq!(r.free_vc_at(1, 8), Some(0));
+        assert!(r.occupancy_matches_buffers());
     }
 
     #[test]

@@ -187,6 +187,26 @@ fn disabling_wake_punch_still_delivers() {
 }
 
 #[test]
+fn wake_punch_cannot_change_a_run_that_never_gates() {
+    // Without gating no router is ever off, so a wake punch has nothing
+    // to wake and the engine emits none: the ablation switch must leave
+    // a loaded run's report bit for bit as it was.
+    let topo = Topology::mesh8x8();
+    let trace = TraceGenerator::new(topo)
+        .with_duration_ns(2_000)
+        .generate(Benchmark::Radix);
+    let run = |cfg: NocConfig| {
+        let r = Network::new(cfg)
+            .run(&trace, &mut AlwaysMode::new(Mode::M5))
+            .expect("run completes");
+        format!("{r:?}")
+    };
+    let punched = run(NocConfig::paper(topo));
+    assert!(punched.contains("flits_delivered"));
+    assert_eq!(punched, run(NocConfig::paper(topo).without_wake_punch()));
+}
+
+#[test]
 fn deeper_pipelines_are_slower_but_lossless() {
     let topo = Topology::mesh8x8();
     let trace = Trace::new("pipe", 64, vec![packet(0, 63, PacketKind::Response, 1.0)]);

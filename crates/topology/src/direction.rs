@@ -116,8 +116,13 @@ impl Port {
                 Some(d) => Some(Port::Dir(d)),
                 None => None,
             }
-        } else if i < 4 + concentration {
-            Some(Port::Local((i - 4) as u8))
+        } else if i < 4 + concentration && i - 4 <= u8::MAX as usize {
+            #[allow(
+                clippy::cast_possible_truncation,
+                reason = "checked against u8::MAX just above; `u8::try_from` is not const"
+            )]
+            let slot = (i - 4) as u8;
+            Some(Port::Local(slot))
         } else {
             None
         }

@@ -58,6 +58,10 @@ impl Topology {
         assert!(width >= 1 && height >= 1, "grid must be at least 1×1");
         assert!(concentration >= 1, "each router needs at least one core");
         assert!(
+            concentration <= 256,
+            "local slots are u8: at most 256 cores per router"
+        );
+        assert!(
             (width as usize) * (height as usize) * (concentration as usize) <= u16::MAX as usize,
             "core id space overflows u16"
         );
@@ -150,7 +154,7 @@ impl Topology {
     /// Local port slot (0-based) of a core at its router.
     #[inline]
     pub fn local_slot(&self, core: CoreId) -> u8 {
-        (core.0 % self.concentration) as u8
+        u8::try_from(core.0 % self.concentration).expect("a router has at most 256 local slots")
     }
 
     /// Cores attached to a router, in slot order.
@@ -163,33 +167,31 @@ impl Topology {
     pub fn neighbor(&self, r: RouterId, d: Direction) -> Option<RouterId> {
         let c = self.coord(r);
         let (dx, dy) = d.step();
-        let nx = c.x as i32 + dx;
-        let ny = c.y as i32 + dy;
-        if nx < 0 || ny < 0 || nx >= self.width as i32 || ny >= self.height as i32 {
-            None
-        } else {
-            Some(self.router_at(Coord {
-                x: nx as u16,
-                y: ny as u16,
-            }))
-        }
+        let x = u16::try_from(i32::from(c.x) + dx)
+            .ok()
+            .filter(|&x| x < self.width)?;
+        let y = u16::try_from(i32::from(c.y) + dy)
+            .ok()
+            .filter(|&y| y < self.height)?;
+        Some(self.router_at(Coord { x, y }))
     }
 
     /// Manhattan hop distance between two routers.
     pub fn hop_distance(&self, a: RouterId, b: RouterId) -> u32 {
         let ca = self.coord(a);
         let cb = self.coord(b);
-        (ca.x.abs_diff(cb.x) + ca.y.abs_diff(cb.y)) as u32
+        u32::from(ca.x.abs_diff(cb.x)) + u32::from(ca.y.abs_diff(cb.y))
     }
 
     /// Iterate over every router id.
     pub fn routers(&self) -> impl Iterator<Item = RouterId> {
-        (0..self.num_routers() as u16).map(RouterId)
+        // `Topology::new` bounds width · height · concentration by u16.
+        (0..self.width * self.height).map(RouterId)
     }
 
     /// Iterate over every core id.
     pub fn cores(&self) -> impl Iterator<Item = CoreId> {
-        (0..self.num_cores() as u16).map(CoreId)
+        (0..self.width * self.height * self.concentration).map(CoreId)
     }
 }
 
@@ -230,7 +232,7 @@ mod tests {
                 assert_eq!(t.router_of_core(core), r);
                 assert!(!seen[core.idx()], "core attached twice");
                 seen[core.idx()] = true;
-                assert!(t.local_slot(core) < t.concentration() as u8);
+                assert!(usize::from(t.local_slot(core)) < t.concentration());
             }
         }
         assert!(seen.iter().all(|&s| s));

@@ -36,7 +36,10 @@ pub enum DimOrder {
 /// injection path (Power Punch wake punching walks the full route of
 /// every admitted packet) does no per-packet allocation or coordinate
 /// arithmetic. The table is `Σ (hops+1)` router ids over all n² router
-/// pairs — ~180 KiB for the 8×8 mesh, ~2 KiB for the 4×4 cmesh.
+/// pairs — ~180 KiB for the 8×8 mesh, ~2 KiB for the 4×4 cmesh. Beside
+/// it, [`XyRouter::route`] reads each (router, destination core)'s
+/// output port and next router from a second table (24 KiB for the
+/// mesh), which is what route compute looks up once per packet head.
 #[derive(Debug, Clone)]
 pub struct XyRouter {
     topo: Topology,
@@ -46,6 +49,9 @@ pub struct XyRouter {
     /// `paths[offsets[a·n + b] .. offsets[a·n + b + 1]]`.
     paths: Vec<RouterId>,
     offsets: Vec<u32>,
+    /// The [`XyRouter::route`] of router `r` toward core `c`, at
+    /// `r · num_cores + c`.
+    hops: Vec<(Port, Option<RouterId>)>,
 }
 
 impl XyRouter {
@@ -61,10 +67,9 @@ impl XyRouter {
         let mut paths = Vec::new();
         let mut offsets = Vec::with_capacity(n * n + 1);
         offsets.push(0u32);
-        for a in 0..n as u16 {
-            for b in 0..n as u16 {
-                let mut cur = RouterId(a);
-                let dst = RouterId(b);
+        for a in topo.routers() {
+            for dst in topo.routers() {
+                let mut cur = a;
                 paths.push(cur);
                 while cur != dst {
                     let d =
@@ -74,7 +79,23 @@ impl XyRouter {
                         .expect("DOR never routes off the edge of the grid");
                     paths.push(cur);
                 }
-                offsets.push(paths.len() as u32);
+                offsets.push(u32::try_from(paths.len()).expect("path table fits u32 offsets"));
+            }
+        }
+        let mut hops = Vec::with_capacity(n * topo.num_cores());
+        for cur in topo.routers() {
+            for dst in topo.cores() {
+                let dst_router = topo.router_of_core(dst);
+                hops.push(match dir_toward(&topo, order, cur, dst_router) {
+                    None => (Port::Local(topo.local_slot(dst)), None),
+                    Some(d) => (
+                        Port::Dir(d),
+                        Some(
+                            topo.neighbor(cur, d)
+                                .expect("DOR never routes off the edge of the grid"),
+                        ),
+                    ),
+                });
             }
         }
         XyRouter {
@@ -82,6 +103,7 @@ impl XyRouter {
             order,
             paths,
             offsets,
+            hops,
         }
     }
 
@@ -95,23 +117,24 @@ impl XyRouter {
         self.order
     }
 
+    /// Route compute at router `cur` for a packet destined to core
+    /// `dst`: its output port there, and the look-ahead next router
+    /// ([`XyRouter::next_hop`]). One table read.
+    #[inline]
+    pub fn route(&self, cur: RouterId, dst: CoreId) -> (Port, Option<RouterId>) {
+        self.hops[cur.idx() * self.topo.num_cores() + dst.idx()]
+    }
+
     /// Output port at router `cur` for a packet destined to core `dst`.
     pub fn output_port(&self, cur: RouterId, dst: CoreId) -> Port {
-        let dst_router = self.topo.router_of_core(dst);
-        if cur == dst_router {
-            return Port::Local(self.topo.local_slot(dst));
-        }
-        let dir = dir_toward(&self.topo, self.order, cur, dst_router)
-            .expect("cur != dst_router implies some offset");
-        Port::Dir(dir)
+        self.route(cur, dst).0
     }
 
     /// Look-ahead: the *next router* a packet at `cur` destined to core
     /// `dst` will hop to, or `None` when `cur` is already the ejection
     /// router. This is the router DozzNoC secures/wakes.
     pub fn next_hop(&self, cur: RouterId, dst: CoreId) -> Option<RouterId> {
-        let p = self.router_path(cur, self.topo.router_of_core(dst));
-        p.get(1).copied()
+        self.route(cur, dst).1
     }
 
     /// Full router path from core `src` to core `dst`, inclusive of both
@@ -162,8 +185,8 @@ mod tests {
     use dozznoc_types::CoreId;
 
     fn all_pairs(topo: Topology) -> impl Iterator<Item = (CoreId, CoreId)> {
-        let n = topo.num_cores() as u16;
-        (0..n).flat_map(move |a| (0..n).map(move |b| (CoreId(a), CoreId(b))))
+        topo.cores()
+            .flat_map(move |a| topo.cores().map(move |b| (a, b)))
     }
 
     #[test]
@@ -171,7 +194,7 @@ mod tests {
         for topo in [Topology::mesh8x8(), Topology::cmesh4x4()] {
             let xy = XyRouter::new(topo);
             for (src, dst) in all_pairs(topo) {
-                let hops = xy.path(src, dst).len() as u32 - 1;
+                let hops = u32::try_from(xy.path(src, dst).len() - 1).expect("paths are short");
                 let expect = topo.hop_distance(topo.router_of_core(src), topo.router_of_core(dst));
                 assert_eq!(hops, expect, "{src}->{dst}");
             }
@@ -223,6 +246,26 @@ mod tests {
                 p => panic!("expected local port, got {p:?}"),
             }
             assert_eq!(xy.next_hop(r, dst), None);
+        }
+    }
+
+    #[test]
+    fn route_table_matches_dor_on_both_paper_grids_and_orders() {
+        for topo in [Topology::mesh8x8(), Topology::cmesh4x4()] {
+            for order in [DimOrder::Xy, DimOrder::Yx] {
+                let table = XyRouter::with_order(topo, order);
+                for cur in topo.routers() {
+                    for dst in topo.cores() {
+                        let expect = match dir_toward(&topo, order, cur, topo.router_of_core(dst)) {
+                            None => (Port::Local(topo.local_slot(dst)), None),
+                            Some(d) => (Port::Dir(d), topo.neighbor(cur, d)),
+                        };
+                        assert_eq!(table.route(cur, dst), expect, "{order:?} {cur}->{dst}");
+                        assert_eq!(table.output_port(cur, dst), expect.0);
+                        assert_eq!(table.next_hop(cur, dst), expect.1);
+                    }
+                }
+            }
         }
     }
 
@@ -295,10 +338,9 @@ mod yx_tests {
     fn yx_paths_are_minimal_and_reach_destination() {
         let topo = Topology::cmesh4x4();
         let yx = XyRouter::with_order(topo, DimOrder::Yx);
-        for s in 0..topo.num_cores() as u16 {
-            for d in 0..topo.num_cores() as u16 {
-                let (src, dst) = (CoreId(s), CoreId(d));
-                let hops = yx.path(src, dst).len() as u32 - 1;
+        for src in topo.cores() {
+            for dst in topo.cores() {
+                let hops = u32::try_from(yx.path(src, dst).len() - 1).expect("paths are short");
                 let expect = topo.hop_distance(topo.router_of_core(src), topo.router_of_core(dst));
                 assert_eq!(hops, expect);
                 assert_eq!(

@@ -60,7 +60,7 @@ proptest! {
         let xy = XyRouter::new(topo);
         let path = xy.path(src, dst);
         let expect = topo.hop_distance(topo.router_of_core(src), topo.router_of_core(dst));
-        prop_assert_eq!(path.len() as u32 - 1, expect);
+        prop_assert_eq!(u32::try_from(path.len() - 1).expect("paths are short"), expect);
         prop_assert_eq!(*path.last().expect("paths are non-empty"), topo.router_of_core(dst));
         let mut seen_y = false;
         for w in path.windows(2) {
