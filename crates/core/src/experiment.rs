@@ -687,40 +687,13 @@ mod tests {
         let err = campaign
             .run_policy_cells(
                 &[Benchmark::Fft],
-                &[PolicySpec::new("rl-buffer").with_param("gamma", "1.5")],
+                &[PolicySpec::new("dozznoc").with_param("gamma", "1.5")],
                 &suite,
                 PolicyRegistry::global(),
                 &EngineOptions::default(),
             )
             .unwrap_err();
         assert!(matches!(err, PolicyError::BadParam { .. }), "{err}");
-    }
-
-    #[test]
-    fn policy_cells_run_the_extension_policies() {
-        let topo = Topology::mesh8x8();
-        let suite = quick_suite(topo);
-        let campaign = Campaign::new(topo).with_duration_ns(2_000);
-        let specs = [
-            PolicySpec::new("online-ridge"),
-            PolicySpec::new("rl-buffer").with_param("seed", "3"),
-        ];
-        let runs = campaign
-            .run_policy_cells(
-                &[Benchmark::Fft],
-                &specs,
-                &suite,
-                PolicyRegistry::global(),
-                &EngineOptions::default(),
-            )
-            .expect("valid specs");
-        assert_eq!(runs.len(), 2);
-        assert_eq!(runs[0].result.report.policy, "online-ridge");
-        assert_eq!(runs[1].result.report.policy, "rl-buffer");
-        assert_eq!(runs[1].result.policy.slug(), "rl-buffer?seed=3");
-        for run in &runs {
-            assert!(run.result.report.stats.packets_delivered > 0);
-        }
     }
 
     #[test]

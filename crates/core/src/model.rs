@@ -137,11 +137,6 @@ mod tests {
         assert_eq!(parse("lead-tau"), Some(ModelKind::LeadDvfs.spec()));
         assert_eq!(parse("dvfs"), Some(ModelKind::LeadDvfs.spec()));
         assert_eq!(parse("ml-turbo"), Some(ModelKind::MlTurbo.spec()));
-        // Registered non-paper policies are no paper model's spec.
-        for name in ["online-ridge", "rl-buffer"] {
-            let spec = parse(name).expect("registered extension policy");
-            assert!(ALL_MODELS.iter().all(|k| k.spec() != spec), "{name}");
-        }
     }
 
     #[test]

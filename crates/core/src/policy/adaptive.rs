@@ -22,99 +22,50 @@ use crate::features::extract_features;
 
 /// Default RLS forgetting factor: mild exponential forgetting so the
 /// estimator tracks phase-scale drift without thrashing on noise.
-pub const DEFAULT_FORGETTING: f64 = 0.995;
+const DEFAULT_FORGETTING: f64 = 0.995;
 /// Default initial-covariance scale.
-pub const DEFAULT_DELTA: f64 = 100.0;
+const DEFAULT_DELTA: f64 = 100.0;
 
 /// Proactive DVFS whose predictor keeps learning online.
 #[derive(Debug, Clone)]
 pub struct Adaptive {
     feature_set: FeatureSet,
-    /// Fresh-router blueprint: per-router estimators clone from it on
-    /// first contact, so the policy works on any topology without
-    /// knowing the router count at construction.
-    template: RecursiveLeastSquares,
     estimators: Vec<RecursiveLeastSquares>,
     pending: Vec<Option<Vec<f64>>>,
     gating: bool,
-    name: &'static str,
 }
 
 impl Adaptive {
     #[must_use]
-    fn with_template(
+    fn with_estimator(
         feature_set: FeatureSet,
-        template: RecursiveLeastSquares,
+        estimator: RecursiveLeastSquares,
         num_routers: usize,
         gating: bool,
-        name: &'static str,
     ) -> Self {
         Adaptive {
             feature_set,
-            estimators: vec![template.clone(); num_routers],
-            template,
+            estimators: vec![estimator; num_routers],
             pending: vec![None; num_routers],
             gating,
-            name,
         }
     }
 
     /// Warm-start one estimator per router from an offline model.
     pub fn from_offline(model: &TrainedModel, num_routers: usize, gating: bool) -> Self {
-        let template = RecursiveLeastSquares::warm_start(
+        let estimator = RecursiveLeastSquares::warm_start(
             model.weights.clone(),
             DEFAULT_FORGETTING,
             DEFAULT_DELTA,
         );
-        Self::with_template(
-            model.feature_set,
-            template,
-            num_routers,
-            gating,
-            "adaptive-online",
-        )
+        Self::with_estimator(model.feature_set, estimator, num_routers, gating)
     }
 
     /// Start from zero weights (pure online learning, no offline stage).
     pub fn cold(feature_set: FeatureSet, num_routers: usize, gating: bool) -> Self {
-        let template =
+        let estimator =
             RecursiveLeastSquares::new(feature_set.len(), DEFAULT_FORGETTING, DEFAULT_DELTA);
-        Self::with_template(
-            feature_set,
-            template,
-            num_routers,
-            gating,
-            "adaptive-online",
-        )
-    }
-
-    /// The registry-facing variant (policy name `online-ridge`): full
-    /// hyper-parameter control, per-router state grown on demand. With
-    /// `warm` the estimators start from `model`'s offline weights;
-    /// otherwise they learn from zero. Callers validate `forgetting` ∈
-    /// (0, 1] and `delta` > 0 — the factory rejects bad values with a
-    /// `PolicyError` before this constructor runs.
-    pub fn online_ridge(
-        model: &TrainedModel,
-        forgetting: f64,
-        delta: f64,
-        warm: bool,
-        gating: bool,
-    ) -> Self {
-        let template = if warm {
-            RecursiveLeastSquares::warm_start(model.weights.clone(), forgetting, delta)
-        } else {
-            RecursiveLeastSquares::new(model.feature_set.len(), forgetting, delta)
-        };
-        Self::with_template(model.feature_set, template, 0, gating, "online-ridge")
-    }
-
-    /// Grow per-router state up to router index `i`.
-    fn ensure(&mut self, i: usize) {
-        while self.estimators.len() <= i {
-            self.estimators.push(self.template.clone());
-            self.pending.push(None);
-        }
+        Self::with_estimator(feature_set, estimator, num_routers, gating)
     }
 
     /// Total online updates absorbed across routers.
@@ -134,7 +85,6 @@ impl Adaptive {
 impl PowerPolicy for Adaptive {
     fn select_mode(&mut self, router: RouterId, obs: &EpochObservation) -> Mode {
         let i = router.idx();
-        self.ensure(i);
         let x = extract_features(obs, self.feature_set);
         // The current IBU labels the previous epoch's features.
         if let Some(prev_x) = self.pending[i].take() {
@@ -158,7 +108,7 @@ impl PowerPolicy for Adaptive {
     }
 
     fn name(&self) -> &str {
-        self.name
+        "adaptive-online"
     }
 }
 
@@ -230,27 +180,6 @@ mod tests {
         let mode = a.select_mode(r, &obs(r, 200, 0.05));
         assert!(mode >= Mode::M4, "adapted model still predicts {mode:?}");
         assert!(a.total_updates() > 100);
-    }
-
-    #[test]
-    fn online_ridge_variant_grows_on_demand() {
-        let mut a = Adaptive::online_ridge(&offline_model(), 0.99, 50.0, true, true);
-        assert_eq!(a.name(), "online-ridge");
-        assert!(a.gating_enabled());
-        // No router count was given: state materializes on first contact,
-        // at any index, warm-started from the offline weights.
-        assert_eq!(
-            a.select_mode(RouterId(5), &obs(RouterId(5), 0, 0.15)),
-            Mode::M5
-        );
-        a.select_mode(RouterId(5), &obs(RouterId(5), 1, 0.2));
-        assert_eq!(a.total_updates(), 1);
-        // The cold variant starts from zero weights: predicts 0 → M3.
-        let mut c = Adaptive::online_ridge(&offline_model(), 0.995, 100.0, false, false);
-        assert_eq!(
-            c.select_mode(RouterId(0), &obs(RouterId(0), 0, 0.15)),
-            Mode::M3
-        );
     }
 
     #[test]

@@ -1,15 +1,15 @@
-//! The five evaluation models, the reactive training variants, and the
-//! online-learning extensions — all constructible through the
-//! [`crate::registry::PolicyRegistry`] plug-in API.
+//! The five evaluation models, built through the
+//! [`crate::registry::PolicyRegistry`] plug-in API, plus the policies the
+//! training pipeline and the ablations construct directly: the reactive
+//! training variants, the oracle and the online-adaptive DVFS.
 
-pub(crate) mod adaptive;
+mod adaptive;
 mod baseline;
 mod factories;
 mod oracle;
 mod power_gate;
 mod proactive;
 mod reactive;
-pub(crate) mod rl_buffer;
 
 pub use adaptive::Adaptive;
 pub use baseline::Baseline;
@@ -17,6 +17,5 @@ pub use oracle::Oracle;
 pub use power_gate::PowerGated;
 pub use proactive::Proactive;
 pub use reactive::Reactive;
-pub use rl_buffer::RlBuffer;
 
 pub(crate) use factories::builtin_factories;

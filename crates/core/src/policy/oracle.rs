@@ -91,8 +91,9 @@ impl PowerPolicy for Oracle {
         // different schedule) fall back to the current IBU — by then the
         // network is draining and reactive ≈ oracle.
         let track = &self.ibu[router.idx()];
-        let future = track
-            .get(obs.epoch as usize + 1)
+        let future = usize::try_from(obs.epoch)
+            .ok()
+            .and_then(|e| track.get(e + 1))
             .copied()
             .unwrap_or(obs.ibu);
         mode_of_utilization(future)

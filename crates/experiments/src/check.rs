@@ -42,7 +42,7 @@ pub fn run(ctx: &Ctx) {
 
     let mut rows = Vec::new();
     let mut total_violations = 0u64;
-    let mut cells = 0u64;
+    let mut cells = 0usize;
     let mut hits = 0usize;
     println!(
         "{:<10} {:<14} {:<10} {:>12} {:>10}",
@@ -86,7 +86,7 @@ pub fn run(ctx: &Ctx) {
             ));
         }
     }
-    engine::log_cache(cache.as_ref(), hits, cells as usize);
+    engine::log_cache(cache.as_ref(), hits, cells);
     ctx.write_csv(
         "sanitizer_check.csv",
         "topology,benchmark,model,sweeps,violations,packets_delivered",

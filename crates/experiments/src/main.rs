@@ -24,7 +24,6 @@
 //!   ablation-online   offline ridge vs online-adaptive RLS under drift
 //!   latency           network-latency percentiles per model
 //!   timeline          per-router mode/energy time-series via telemetry
-//!   tournament        every registered policy ranked head-to-head
 //!   check             run the evaluation matrix under the invariant sanitizer
 //!   transition-cost   rail-transition energy vs the savings it erodes
 //!   routing           XY vs YX dimension-order sensitivity
@@ -56,7 +55,6 @@ mod suite;
 mod sweep;
 mod tables;
 mod timeline;
-mod tournament;
 
 use ctx::Ctx;
 
@@ -99,7 +97,6 @@ fn main() {
         "routing" => ablations::routing(&ctx),
         "latency" => latency::run(&ctx),
         "timeline" => timeline::run(&ctx),
-        "tournament" => tournament::run(&ctx),
         "check" => check::run(&ctx),
         "all" => {
             tables::table1(&ctx);
@@ -141,12 +138,10 @@ dozz-repro — regenerate the DozzNoC paper's tables and figures
 
 usage: dozz-repro <command> [--quick] [--out DIR] [--seed N] [--jobs N] [--no-cache]
        dozz-repro timeline [--bench NAME] [--model NAME] [flags above]
-       dozz-repro tournament [flags above]
        dozz-repro check [--bench NAME] [flags above]
 
---model accepts any registered policy: paper slugs and aliases plus
-plug-in specs like `rl-buffer?epsilon=0.2&seed=9`; `tournament` ranks
-all of them (energy, latency, throughput, EDP, per-benchmark wins).
+--model accepts any registered policy by name or alias: baseline,
+pg, lead, dozznoc, turbo.
 
 campaign matrices run on --jobs N workers (default: all cores, or the
 DOZZ_JOBS env var) with a content-addressed run cache under
@@ -155,5 +150,5 @@ DOZZ_JOBS env var) with a content-addressed run cache under
 commands: table1 table2 table3 table4 table5 fig5 fig6 fig7 fig8 fig9
           headline sweep-epoch overhead ablation-features ablation-gating
           ablation-proactive ablation-online scale latency timeline
-          tournament check transition-cost routing all
+          check transition-cost routing all
 ";

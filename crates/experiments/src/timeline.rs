@@ -11,10 +11,9 @@
 //!   transition (gate-off, wakeup start/done, mode switch) with its
 //!   tick timestamp.
 //!
-//! `--model` accepts any registered policy spec — paper slugs and
-//! aliases (`dozznoc`, `power-gated`, …) as well as parameterized
-//! plug-ins like `rl-buffer?epsilon=0.2&seed=9`. Unknown names list the
-//! full registry instead of panicking.
+//! `--model` accepts any registered policy by slug or alias (`dozznoc`,
+//! `power-gated`, …). Unknown names list the full registry instead of
+//! panicking.
 
 use dozznoc_core::{run_policy_with_telemetry, ModelSuite, PolicyRegistry, PolicySpec};
 use dozznoc_ml::{FeatureSet, TrainedModel};
@@ -36,18 +35,6 @@ fn parse_policy(name: &str) -> PolicySpec {
             std::process::exit(2);
         }
     }
-}
-
-/// A spec slug flattened for filenames: `rl-buffer?epsilon=0.2` has
-/// `?`/`=`/`&`, which shells and filesystems mangle.
-fn file_slug(spec: &PolicySpec) -> String {
-    spec.slug()
-        .chars()
-        .map(|c| match c {
-            'a'..='z' | 'A'..='Z' | '0'..='9' | '-' | '_' | '.' => c,
-            _ => '-',
-        })
-        .collect()
 }
 
 /// A suite of do-nothing models for the non-ML policies, so `timeline
@@ -91,8 +78,8 @@ pub fn run(ctx: &Ctx) {
     let report = match run_policy_with_telemetry(cfg, &trace, &spec, registry, &suite, &mut sink) {
         Ok(report) => report,
         Err(e) => {
-            // Bad parameter values surface here (the name was already
-            // validated by parse_policy).
+            // Parameters surface here: the paper policies take none
+            // (the name was already validated by parse_policy).
             eprintln!("{e}");
             std::process::exit(2);
         }
@@ -122,7 +109,7 @@ pub fn run(ctx: &Ctx) {
         })
         .collect();
     ctx.write_csv(
-        &format!("timeline_{}_{}.csv", bench.name(), file_slug(&spec)),
+        &format!("timeline_{}_{}.csv", bench.name(), spec.name()),
         "router,epoch,cycles,mode,ibu,off_fraction,flits_injected,flits_ejected,hops,static_j,dynamic_j,ml_j,transition_j,total_j",
         &epoch_rows,
     );
@@ -133,11 +120,7 @@ pub fn run(ctx: &Ctx) {
         .map(|e| format!("{},{},{}", e.at.ticks(), e.router.idx(), e.kind.tag()))
         .collect();
     ctx.write_csv(
-        &format!(
-            "timeline_{}_{}_transitions.csv",
-            bench.name(),
-            file_slug(&spec)
-        ),
+        &format!("timeline_{}_{}_transitions.csv", bench.name(), spec.name()),
         "tick,router,event",
         &transition_rows,
     );

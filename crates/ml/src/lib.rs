@@ -16,9 +16,8 @@
 //! * [`metrics`] — MSE/R² and the paper's *mode-selection accuracy*;
 //! * [`model`] — the exported weight vector (what the simulator loads);
 //! * [`online`] — an RLS extension for on-line adaptation (the paper's
-//!   related-work direction, provided as a library extra);
-//! * [`rl`] — a deterministic tabular Q-learning substrate (seedable
-//!   xorshift exploration) for the RACE-style RL policy extension.
+//!   related-work direction), which the online-adaptive DVFS ablation
+//!   deploys.
 
 #![cfg_attr(
     test,
@@ -35,7 +34,6 @@ pub mod metrics;
 pub mod model;
 pub mod online;
 pub mod ridge;
-pub mod rl;
 
 pub use dataset::Dataset;
 pub use features::{FeatureId, FeatureSet};
@@ -44,4 +42,3 @@ pub use metrics::{mode_of_utilization, mode_selection_accuracy, mse, r_squared};
 pub use model::TrainedModel;
 pub use online::RecursiveLeastSquares;
 pub use ridge::{RidgeRegression, RidgeReport};
-pub use rl::{QTable, XorShift64};

@@ -6,7 +6,8 @@
 //! w_RLS = (XᵀX + (1/δ)·I)⁻¹ Xᵀt = w_ridge(λ = 1/δ)
 //! ```
 //!
-//! — the foundation the `online-ridge` policy extension stands on. This
+//! — the foundation the online-adaptive `Adaptive` DVFS policy of the
+//! `ablation-online` study stands on. This
 //! test pins the equivalence numerically on a fixed synthetic dataset so
 //! a regression in either implementation (the incremental P update or
 //! the Cholesky solve) surfaces as a divergence here.

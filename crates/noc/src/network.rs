@@ -546,7 +546,7 @@ impl Network {
                 if self.cfg.wake_punch {
                     let path = self.xy.path(p.src, p.dst);
                     self.outbox
-                        .extend(path.iter().map(|hop| Effect::Punch { router: hop.idx() }));
+                        .extend(path.map(|hop| Effect::Punch { router: hop.idx() }));
                 } else {
                     // Ablation: only the home router wakes at injection;
                     // downstream routers wait for the one-hop look-ahead.

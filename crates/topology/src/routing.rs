@@ -23,32 +23,24 @@ pub enum DimOrder {
     Yx,
 }
 
-/// Dimension-order router for a grid topology, with every router-pair
-/// path precomputed at construction.
+/// Dimension-order router for a grid topology, with every route step
+/// precomputed at construction.
 ///
 /// The paper uses XY DOR; YX is provided for routing-sensitivity
 /// experiments. Look-ahead (knowing the next router one hop early) works
 /// identically for both, which is what DozzNoC's downstream securing
 /// needs.
 ///
-/// DOR paths are static, so they are tabulated once here and
-/// [`XyRouter::path`] returns a borrowed slice: the simulator's
-/// injection path (Power Punch wake punching walks the full route of
-/// every admitted packet) does no per-packet allocation or coordinate
-/// arithmetic. The table is `Σ (hops+1)` router ids over all n² router
-/// pairs — ~180 KiB for the 8×8 mesh, ~2 KiB for the 4×4 cmesh. Beside
-/// it, [`XyRouter::route`] reads each (router, destination core)'s
-/// output port and next router from a second table (24 KiB for the
-/// mesh), which is what route compute looks up once per packet head.
+/// DOR routes are static, so each (router, destination core)'s output
+/// port and next router are tabulated once (24 KiB for the 8×8 mesh):
+/// [`XyRouter::route`] is one table read, which is what route compute
+/// looks up once per packet head, and [`XyRouter::path`] follows the
+/// same table hop by hop, which is how wake punching walks the full
+/// route of every admitted packet without allocating.
 #[derive(Debug, Clone)]
 pub struct XyRouter {
     topo: Topology,
     order: DimOrder,
-    /// All router-pair paths, flattened. The path from router `a` to
-    /// router `b` (both inclusive) is
-    /// `paths[offsets[a·n + b] .. offsets[a·n + b + 1]]`.
-    paths: Vec<RouterId>,
-    offsets: Vec<u32>,
     /// The [`XyRouter::route`] of router `r` toward core `c`, at
     /// `r · num_cores + c`.
     hops: Vec<(Port, Option<RouterId>)>,
@@ -63,26 +55,7 @@ impl XyRouter {
     /// Create a router function with an explicit dimension order.
     #[must_use]
     pub fn with_order(topo: Topology, order: DimOrder) -> Self {
-        let n = topo.num_routers();
-        let mut paths = Vec::new();
-        let mut offsets = Vec::with_capacity(n * n + 1);
-        offsets.push(0u32);
-        for a in topo.routers() {
-            for dst in topo.routers() {
-                let mut cur = a;
-                paths.push(cur);
-                while cur != dst {
-                    let d =
-                        dir_toward(&topo, order, cur, dst).expect("cur != dst implies some offset");
-                    cur = topo
-                        .neighbor(cur, d)
-                        .expect("DOR never routes off the edge of the grid");
-                    paths.push(cur);
-                }
-                offsets.push(u32::try_from(paths.len()).expect("path table fits u32 offsets"));
-            }
-        }
-        let mut hops = Vec::with_capacity(n * topo.num_cores());
+        let mut hops = Vec::with_capacity(topo.num_routers() * topo.num_cores());
         for cur in topo.routers() {
             for dst in topo.cores() {
                 let dst_router = topo.router_of_core(dst);
@@ -98,13 +71,7 @@ impl XyRouter {
                 });
             }
         }
-        XyRouter {
-            topo,
-            order,
-            paths,
-            offsets,
-            hops,
-        }
+        XyRouter { topo, order, hops }
     }
 
     /// The topology this router function operates on.
@@ -138,19 +105,13 @@ impl XyRouter {
     }
 
     /// Full router path from core `src` to core `dst`, inclusive of both
-    /// endpoint routers. Borrowed from the precomputed table — no
-    /// per-call allocation.
-    pub fn path(&self, src: CoreId, dst: CoreId) -> &[RouterId] {
-        self.router_path(self.topo.router_of_core(src), self.topo.router_of_core(dst))
-    }
-
-    /// Precomputed router path from router `a` to router `b`, inclusive
-    /// of both endpoints (a one-element slice when `a == b`).
-    pub fn router_path(&self, a: RouterId, b: RouterId) -> &[RouterId] {
-        let n = self.topo.num_routers();
-        debug_assert!(a.idx() < n && b.idx() < n);
-        let k = a.idx() * n + b.idx();
-        &self.paths[self.offsets[k] as usize..self.offsets[k + 1] as usize]
+    /// endpoint routers: the home router, then each
+    /// [`XyRouter::next_hop`] until the ejection router. No per-call
+    /// allocation.
+    pub fn path(&self, src: CoreId, dst: CoreId) -> impl Iterator<Item = RouterId> + '_ {
+        core::iter::successors(Some(self.topo.router_of_core(src)), move |&cur| {
+            self.next_hop(cur, dst)
+        })
     }
 }
 
@@ -194,7 +155,7 @@ mod tests {
         for topo in [Topology::mesh8x8(), Topology::cmesh4x4()] {
             let xy = XyRouter::new(topo);
             for (src, dst) in all_pairs(topo) {
-                let hops = u32::try_from(xy.path(src, dst).len() - 1).expect("paths are short");
+                let hops = u32::try_from(xy.path(src, dst).count() - 1).expect("paths are short");
                 let expect = topo.hop_distance(topo.router_of_core(src), topo.router_of_core(dst));
                 assert_eq!(hops, expect, "{src}->{dst}");
             }
@@ -206,7 +167,7 @@ mod tests {
         for topo in [Topology::mesh8x8(), Topology::cmesh4x4()] {
             let xy = XyRouter::new(topo);
             for (src, dst) in all_pairs(topo) {
-                let last = *xy.path(src, dst).last().expect("paths are non-empty");
+                let last = xy.path(src, dst).last().expect("paths are non-empty");
                 assert_eq!(last, topo.router_of_core(dst));
             }
         }
@@ -219,7 +180,7 @@ mod tests {
         // From (0,0) to (3,2): the first 3 hops must move east.
         let src = CoreId(0); // router (0,0)
         let dst = CoreId(2 * 8 + 3); // router (3,2)
-        let path = xy.path(src, dst);
+        let path: Vec<_> = xy.path(src, dst).collect();
         for w in path.windows(2).take(3) {
             let a = topo.coord(w[0]);
             let b = topo.coord(w[1]);
@@ -295,7 +256,7 @@ mod tests {
         let topo = Topology::mesh8x8();
         let xy = XyRouter::new(topo);
         for (src, dst) in all_pairs(topo) {
-            let path = xy.path(src, dst);
+            let path: Vec<_> = xy.path(src, dst).collect();
             let mut seen_y_move = false;
             for w in path.windows(2) {
                 let a = topo.coord(w[0]);
@@ -321,7 +282,7 @@ mod yx_tests {
         let topo = Topology::mesh8x8();
         let yx = XyRouter::with_order(topo, DimOrder::Yx);
         // From (0,0) to (3,2): the first 2 hops must move south.
-        let path = yx.path(CoreId(0), CoreId(2 * 8 + 3));
+        let path: Vec<_> = yx.path(CoreId(0), CoreId(2 * 8 + 3)).collect();
         for w in path.windows(2).take(2) {
             let a = topo.coord(w[0]);
             let b = topo.coord(w[1]);
@@ -340,11 +301,11 @@ mod yx_tests {
         let yx = XyRouter::with_order(topo, DimOrder::Yx);
         for src in topo.cores() {
             for dst in topo.cores() {
-                let hops = u32::try_from(yx.path(src, dst).len() - 1).expect("paths are short");
+                let hops = u32::try_from(yx.path(src, dst).count() - 1).expect("paths are short");
                 let expect = topo.hop_distance(topo.router_of_core(src), topo.router_of_core(dst));
                 assert_eq!(hops, expect);
                 assert_eq!(
-                    *yx.path(src, dst).last().expect("paths are non-empty"),
+                    yx.path(src, dst).last().expect("paths are non-empty"),
                     topo.router_of_core(dst)
                 );
             }
@@ -357,7 +318,7 @@ mod yx_tests {
         let yx = XyRouter::with_order(topo, DimOrder::Yx);
         for s in 0..64u16 {
             for d in 0..64u16 {
-                let path = yx.path(CoreId(s), CoreId(d));
+                let path: Vec<_> = yx.path(CoreId(s), CoreId(d)).collect();
                 let mut seen_x = false;
                 for w in path.windows(2) {
                     let a = topo.coord(w[0]);

@@ -58,7 +58,7 @@ proptest! {
         let src = CoreId::from(src_i.index(n));
         let dst = CoreId::from(dst_i.index(n));
         let xy = XyRouter::new(topo);
-        let path = xy.path(src, dst);
+        let path: Vec<_> = xy.path(src, dst).collect();
         let expect = topo.hop_distance(topo.router_of_core(src), topo.router_of_core(dst));
         prop_assert_eq!(u32::try_from(path.len() - 1).expect("paths are short"), expect);
         prop_assert_eq!(*path.last().expect("paths are non-empty"), topo.router_of_core(dst));
@@ -82,7 +82,7 @@ proptest! {
         let src = CoreId::from(src_i.index(n));
         let dst = CoreId::from(dst_i.index(n));
         let xy = XyRouter::new(topo);
-        let path = xy.path(src, dst);
+        let path: Vec<_> = xy.path(src, dst).collect();
         for w in path.windows(2) {
             prop_assert_eq!(xy.next_hop(w[0], dst), Some(w[1]));
         }

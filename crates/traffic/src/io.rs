@@ -106,7 +106,13 @@ pub fn write_binary<W: Write>(trace: &Trace, w: &mut W) -> io::Result<()> {
     let name_len = u16::try_from(name.len()).unwrap_or(u16::MAX);
     w.write_all(&name_len.to_le_bytes())?;
     w.write_all(&name[..name_len as usize])?;
-    w.write_all(&(trace.num_cores as u32).to_le_bytes())?;
+    let num_cores = u32::try_from(trace.num_cores).map_err(|_| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "core count exceeds the DZTR u32 field",
+        )
+    })?;
+    w.write_all(&num_cores.to_le_bytes())?;
     w.write_all(&(trace.len() as u64).to_le_bytes())?;
     for p in trace.packets() {
         w.write_all(&p.inject_time.ticks().to_le_bytes())?;

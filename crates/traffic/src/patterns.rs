@@ -53,7 +53,7 @@ impl Pattern {
                 CoreId::from(d)
             }
             Pattern::Transpose => {
-                let side = (n as f64).sqrt() as usize;
+                let side = n.isqrt();
                 debug_assert_eq!(side * side, n, "transpose needs a square core count");
                 let (x, y) = (src.idx() % side, src.idx() / side);
                 CoreId::from(x * side + y)
@@ -71,7 +71,7 @@ impl Pattern {
                 }
             }
             Pattern::Tornado => {
-                let side = (n as f64).sqrt() as usize;
+                let side = n.isqrt();
                 let (x, y) = (src.idx() % side, src.idx() / side);
                 let dx = (x + side / 2) % side;
                 CoreId::from(y * side + dx)

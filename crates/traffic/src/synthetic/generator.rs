@@ -95,6 +95,10 @@ impl TraceGenerator {
 
         let mut packets = Vec::new();
         for t_ns in 0..self.duration_ns {
+            #[allow(
+                clippy::cast_possible_truncation,
+                reason = "a non-negative count of whole phases, far below usize::MAX; `as` floors it"
+            )]
             let phase_idx = (t_ns as f64 / profile.phase_ns) as usize % profile.phases.len();
             let rate = (profile.on_rate * profile.phases[phase_idx]).min(1.0);
             for core in 0..n_cores {

@@ -93,6 +93,10 @@ fn main() {
         let mut line = String::new();
         for x in 0..8 {
             let r = &report.per_router[y * 8 + x];
+            #[allow(
+                clippy::cast_possible_truncation,
+                reason = "off_fraction is in [0, 1], so the product is a small non-negative shade index; `as` floors it"
+            )]
             let idx = ((r.off_fraction * shades.len() as f64) as usize).min(shades.len() - 1);
             line.push(shades[idx]);
             line.push(shades[idx]);

@@ -51,7 +51,7 @@ pub mod prelude {
         run_model, run_policy_with_telemetry, Adaptive, Baseline, CacheStats, Campaign, CellRun,
         Collector, EngineOptions, Fingerprint, ModelKind, ModelSuite, Oracle, PolicyCellRun,
         PolicyContext, PolicyError, PolicyFactory, PolicyRegistry, PolicyResult, PolicySpec,
-        PowerGated, Proactive, Reactive, RlBuffer, RunCache, Trainer,
+        PowerGated, Proactive, Reactive, RunCache, Trainer,
     };
     pub use dozznoc_ml::{
         mode_of_utilization, mode_selection_accuracy, Dataset, FeatureSet, RidgeRegression,

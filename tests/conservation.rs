@@ -56,7 +56,7 @@ proptest! {
             .packets()
             .iter()
             .map(|p| {
-                let hops = xy.path(p.src, p.dst).len() as u64; // routers on path
+                let hops = xy.path(p.src, p.dst).count() as u64; // routers on path
                 p.flit_count() as u64 * hops
             })
             .sum();

@@ -183,66 +183,3 @@ fn engine_results_are_identical_across_jobs_and_cache_states() {
         let _ = std::fs::remove_dir_all(&cache_dir);
     }
 }
-
-/// The same engine contract for the learning plug-in policies. Both
-/// learn *during* the run (recursive ridge updates, epsilon-greedy
-/// Q-learning), so this is the proof that their exploration and update
-/// order is a pure function of (spec, trace): jobs=1, jobs=8 and a
-/// warm-cache replay must serialize bit-identically.
-#[test]
-fn online_policies_are_deterministic_across_jobs_and_cache_states() {
-    let jobs = |n: usize| NonZeroUsize::new(n).expect("positive job count");
-    let benches = [Benchmark::Fft, Benchmark::X264];
-    let topo = Topology::mesh8x8();
-    let suite = ModelSuite::train(
-        &Trainer::new(topo).with_duration_ns(DUR_NS),
-        FeatureSet::Reduced5,
-    );
-    let registry = PolicyRegistry::global();
-    let specs = [
-        PolicySpec::new("online-ridge"),
-        PolicySpec::new("rl-buffer").with_param("seed", "3"),
-    ];
-    let campaign = Campaign::new(topo).with_duration_ns(DUR_NS);
-    let cache_dir =
-        std::env::temp_dir().join(format!("dozznoc-determinism-online-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&cache_dir);
-    let cache = RunCache::open(&cache_dir);
-
-    let run = |jobs_n: usize, cache: Option<&RunCache>| {
-        campaign
-            .run_policy_cells(
-                &benches,
-                &specs,
-                &suite,
-                registry,
-                &EngineOptions {
-                    jobs: Some(jobs(jobs_n)),
-                    cache,
-                    sanitize: false,
-                    measure: false,
-                },
-            )
-            .expect("extension specs build")
-    };
-
-    let sequential = run(1, Some(&cache));
-    assert!(sequential.iter().all(|c| !c.cache_hit));
-    let parallel = run(8, None);
-    let warm = run(8, Some(&cache));
-    assert!(warm.iter().all(|c| c.cache_hit), "warm run must replay");
-
-    let serialize = |cells: &[PolicyCellRun]| {
-        let results: Vec<_> = cells.iter().map(|c| &c.result).collect();
-        serde_json::to_string_pretty(&results).expect("results serialize")
-    };
-    let golden = serialize(&sequential);
-    assert_eq!(golden, serialize(&parallel), "jobs=8 diverged from jobs=1");
-    assert_eq!(
-        golden,
-        serialize(&warm),
-        "warm-cache replay diverged from simulation"
-    );
-
-    let _ = std::fs::remove_dir_all(&cache_dir);
-}

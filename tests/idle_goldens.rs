@@ -49,9 +49,9 @@ fn suite(topo: Topology) -> ModelSuite {
 /// routers gate off, sleep through whole epochs and wake again.
 fn sparse_trace() -> Trace {
     let mut pkts = Vec::new();
-    for (burst, start_ns) in [1.0, 2_600.0, 5_300.0].into_iter().enumerate() {
+    for (burst, start_ns) in (0u16..).zip([1.0, 2_600.0, 5_300.0]) {
         for k in 0..6u16 {
-            let src = (k * 11 + burst as u16 * 7) % 64;
+            let src = (k * 11 + burst * 7) % 64;
             let dst = (src + 9 + k * 5) % 64;
             let kind = if k % 2 == 0 {
                 PacketKind::Request

@@ -90,7 +90,7 @@ proptest! {
         let kind = if is_request { PacketKind::Request } else { PacketKind::Response };
         let flits = kind.flit_count() as u64;
         // Multi-flit packets are exact only without back-pressure.
-        prop_assume!(flits == 1 || (hop_cycles(&cfg, d) as usize) < cfg.vc_depth);
+        prop_assume!(flits == 1 || hop_cycles(&cfg, d) < cfg.vc_depth as u64);
 
         // Inject after `idle_epochs` idle epochs at the fixed mode, at an
         // arbitrary phase relative to the grid (past the first boundary
@@ -106,7 +106,7 @@ proptest! {
             kind,
             inject_time: SimTime::from_ticks(inject),
         };
-        let routers = XyRouter::new(topo).path(pkt.src, pkt.dst).len() as u64;
+        let routers = XyRouter::new(topo).path(pkt.src, pkt.dst).count() as u64;
         let trace = Trace::new("zero-load", 64, vec![pkt]);
         let report = Network::new(cfg)
             .run(&trace, &mut AlwaysMode::new(mode))
