@@ -43,10 +43,9 @@ pub fn run_model(cfg: NocConfig, trace: &Trace, kind: ModelKind, suite: &ModelSu
     .expect("every paper-model default spec builds")
 }
 
-/// Run one registered policy (any [`PolicySpec`], paper model or
-/// plug-in) on one trace, streaming telemetry into `tel`. Errors on
-/// unknown names or invalid parameters instead of panicking — this is
-/// the CLI-boundary entry point.
+/// Run one registered policy on one trace, streaming telemetry into
+/// `tel`. An unknown name is an error, not a panic: this is the
+/// CLI-boundary entry point.
 #[allow(
     clippy::panic,
     reason = "driver-level escalation; a failed run invalidates the whole campaign"
@@ -90,8 +89,8 @@ fn simulate(
 /// One cell of a campaign: a model evaluated on a benchmark.
 ///
 /// Frozen schema: this struct is serialized into determinism goldens
-/// and CSV artifacts, so it keeps the closed [`ModelKind`] — campaigns
-/// over arbitrary registered policies produce [`PolicyResult`]s instead.
+/// and CSV artifacts, so it keeps the closed [`ModelKind`]; campaigns
+/// over pre-built traces produce [`PolicyResult`]s instead.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CampaignResult {
     /// The benchmark run.
@@ -102,8 +101,8 @@ pub struct CampaignResult {
     pub report: RunReport,
 }
 
-/// One cell of a policy campaign: a [`PolicySpec`] evaluated on a
-/// benchmark — the open-registry counterpart of [`CampaignResult`].
+/// One cell of a spec campaign: a [`PolicySpec`] evaluated on a trace,
+/// the [`Campaign::run_trace_cells`] counterpart of [`CampaignResult`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PolicyResult {
     /// The benchmark run.
@@ -262,13 +261,21 @@ impl Campaign {
         opts: &EngineOptions<'_>,
     ) -> Vec<CellRun> {
         // The ModelKind matrix is a special case of the spec engine:
-        // every kind maps to its defaults-only spec (identical slug, so
-        // identical cache fingerprints), runs through the same cells,
-        // and is mapped back to the frozen CampaignResult schema.
+        // every kind maps to its spec (identical slug, so identical
+        // cache fingerprints), runs through the same cells, and is
+        // mapped back to the frozen CampaignResult schema.
         let specs: Vec<PolicySpec> = self.models.iter().map(ModelKind::spec).collect();
+        let labels: Vec<String> = benches.iter().map(|b| b.name().to_string()).collect();
         let runs = self
-            .run_policy_cells(benches, &specs, suite, PolicyRegistry::global(), opts)
-            .expect("paper-model default specs always build");
+            .run_spec_cells(
+                &labels,
+                &|bi| self.trace(benches[bi]),
+                &specs,
+                suite,
+                PolicyRegistry::global(),
+                opts,
+            )
+            .expect("paper-model specs always build");
         runs.into_iter()
             .enumerate()
             .map(|(i, run)| CellRun {
@@ -286,44 +293,15 @@ impl Campaign {
             .collect()
     }
 
-    /// Run an arbitrary set of registered policies over the benchmark
-    /// matrix — the open-registry engine behind [`Campaign::run_cells`].
-    ///
-    /// Each (benchmark, spec) cell is an independent task drained by
-    /// `opts.jobs` workers; the policy is built fresh per cell from its
-    /// spec (stateful policies must not leak state across cells), and
-    /// the run cache keys on [`PolicySpec::slug`] so parameterizations
-    /// of one policy never collide. Every spec is resolved and built
-    /// once up front: unknown names and invalid parameters surface as a
-    /// [`PolicyError`] before any cell simulates.
-    ///
-    /// Results arrive in cell order (benchmark-major, spec-minor),
-    /// bit-identical for every `jobs` count and cache state.
-    pub fn run_policy_cells(
-        &self,
-        benches: &[Benchmark],
-        specs: &[PolicySpec],
-        suite: &ModelSuite,
-        registry: &PolicyRegistry,
-        opts: &EngineOptions<'_>,
-    ) -> Result<Vec<PolicyCellRun>, PolicyError> {
-        let labels: Vec<String> = benches.iter().map(|b| b.name().to_string()).collect();
-        self.run_spec_cells(
-            &labels,
-            &|bi| self.trace(benches[bi]),
-            specs,
-            suite,
-            registry,
-            opts,
-        )
-    }
-
     /// Run registered policies over *pre-built traces* instead of the
     /// benchmark generator — the entry point `dozz-bench` drives with
-    /// synthetic load-regime traces. Every
-    /// engine property of [`Campaign::run_policy_cells`] holds: cells
-    /// are (trace, spec) pairs in trace-major order, drained by
-    /// `opts.jobs` workers, cached by trace digest × spec slug.
+    /// synthetic load-regime traces. Every engine property of
+    /// [`Campaign::run_cells`] holds: cells are (trace, spec) pairs in
+    /// trace-major order, drained by `opts.jobs` workers, cached by
+    /// trace digest × spec slug. The policy is built fresh per cell
+    /// (stateful policies must not leak state across cells). Every spec
+    /// is resolved and built once up front, so an unknown name surfaces
+    /// as a [`PolicyError`] before any cell simulates.
     ///
     /// The campaign's own trace knobs (duration, seed, compression) are
     /// ignored here — the caller owns trace construction — but its
@@ -348,8 +326,8 @@ impl Campaign {
         )
     }
 
-    /// The one spec-matrix engine behind [`Campaign::run_policy_cells`]
-    /// and [`Campaign::run_trace_cells`]: one trace source per `labels`
+    /// The one spec-matrix engine behind [`Campaign::run_cells`] and
+    /// [`Campaign::run_trace_cells`]: one trace source per `labels`
     /// entry (materialized lazily, at most once, by `trace_of`) ×
     /// `specs`, scheduled, cached and measured identically for both
     /// entries. `labels[si]` becomes the result's `benchmark` field.
@@ -670,30 +648,26 @@ mod tests {
     }
 
     #[test]
-    fn policy_cells_surface_bad_specs_before_running() {
+    fn trace_cells_surface_unknown_specs_before_running() {
         let topo = Topology::mesh8x8();
         let suite = quick_suite(topo);
         let campaign = Campaign::new(topo).with_duration_ns(2_000);
         let err = campaign
-            .run_policy_cells(
-                &[Benchmark::Fft],
-                &[PolicySpec::new("no-such-policy")],
+            .run_trace_cells(
+                &[campaign.trace(Benchmark::Fft)],
+                &[
+                    ModelKind::Baseline.spec(),
+                    PolicySpec::new("no-such-policy"),
+                ],
                 &suite,
                 PolicyRegistry::global(),
                 &EngineOptions::default(),
             )
             .unwrap_err();
-        assert!(matches!(err, PolicyError::Unknown { .. }), "{err}");
-        let err = campaign
-            .run_policy_cells(
-                &[Benchmark::Fft],
-                &[PolicySpec::new("dozznoc").with_param("gamma", "1.5")],
-                &suite,
-                PolicyRegistry::global(),
-                &EngineOptions::default(),
-            )
-            .unwrap_err();
-        assert!(matches!(err, PolicyError::BadParam { .. }), "{err}");
+        assert!(
+            matches!(&err, PolicyError::Unknown { name, .. } if name == "no-such-policy"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -33,12 +33,11 @@
     )
 )]
 
-//! The policy layer is *open*: [`registry`] defines the plug-in API —
+//! [`registry`] builds [`dozznoc_noc::PowerPolicy`] instances:
 //! [`PolicyFactory`] implementations registered in a [`PolicyRegistry`]
-//! build [`dozznoc_noc::PowerPolicy`] instances from serializable
-//! [`PolicySpec`]s — and [`ModelKind`] survives only as a compatibility
-//! shim over it. Third-party policies register without touching any
-//! enum; see `DESIGN.md` § "Policy plug-in architecture".
+//! build them from [`PolicySpec`]s (canonical policy names).
+//! [`PolicyRegistry::global`] holds the five paper models, whose names
+//! and labels [`ModelKind`] shares; see `DESIGN.md` § "Policy registry".
 
 pub mod cache;
 pub mod collect;

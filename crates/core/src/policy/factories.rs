@@ -1,166 +1,114 @@
-//! Built-in [`PolicyFactory`] implementations: the five paper models,
-//! registered in presentation order by
-//! [`crate::registry::PolicyRegistry::builtin`].
+//! The five paper models' registry entries: one [`PaperModel`] row per
+//! [`ModelKind`], and one [`PolicyFactory`] that builds by matching on
+//! the kind. [`PolicyRegistry::global`](crate::registry::PolicyRegistry::global)
+//! registers them in Fig. 8 bar order.
 //!
-//! Canonical names and aliases here are the single source of truth for
-//! CLI parsing — [`PolicyRegistry::parse`](crate::registry::PolicyRegistry::parse)
-//! resolves through them, so adding an alias to a factory makes every
-//! command accept it.
+//! The names and aliases here are the single source of truth for CLI
+//! parsing and for [`ModelKind::slug`]/[`ModelKind::label`], so adding
+//! an alias to a row makes every command accept it.
 
 use dozznoc_noc::PowerPolicy;
 
+use crate::model::{ModelKind, ALL_MODELS};
 use crate::policy::{Baseline, PowerGated, Proactive};
 use crate::registry::{PolicyContext, PolicyError, PolicyFactory, PolicySpec};
 
-/// Every built-in factory, in the Fig. 8 bar order.
-pub(crate) fn builtin_factories() -> Vec<Box<dyn PolicyFactory>> {
-    vec![
-        Box::new(BaselineFactory),
-        Box::new(PowerGatedFactory),
-        Box::new(LeadFactory),
-        Box::new(DozzNocFactory),
-        Box::new(TurboFactory),
-    ]
+/// One paper model's identity and documentation.
+pub(crate) struct PaperModel {
+    /// Canonical slug: file names, CSV rows and cache keys embed it.
+    pub name: &'static str,
+    /// Alternate CLI spellings.
+    pub aliases: &'static [&'static str],
+    /// Display name matching the paper's figure legends.
+    pub label: &'static str,
+    /// One-line description.
+    pub description: &'static str,
+    /// Whether the built policy consults the trained suite.
+    pub uses_ml: bool,
 }
 
-/// Reject every parameter: the paper models take none, so a typo'd key
-/// fails loudly instead of being silently ignored.
-fn check_params(spec: &PolicySpec) -> Result<(), PolicyError> {
-    match spec.params().first() {
-        None => Ok(()),
-        Some((key, value)) => Err(PolicyError::BadParam {
-            policy: spec.name().to_string(),
-            key: key.clone(),
-            value: value.clone(),
-            expected: "no parameters".to_string(),
-        }),
-    }
+/// The paper models, indexed by [`ModelKind`] (declaration order).
+const PAPER_MODELS: [PaperModel; 5] = [
+    PaperModel {
+        name: "baseline",
+        aliases: &[],
+        label: "Baseline",
+        description: "always-on M7, no gating, no DVFS",
+        uses_ml: false,
+    },
+    PaperModel {
+        name: "pg",
+        aliases: &["powergated", "power-gated"],
+        label: "PG",
+        description: "Power Punch-style gating, M7-only active state",
+        uses_ml: false,
+    },
+    PaperModel {
+        name: "lead",
+        aliases: &["lead-tau", "dvfs"],
+        label: "ML+DVFS (LEAD-tau)",
+        description: "LEAD-tau: offline-ridge proactive DVFS, never gated",
+        uses_ml: true,
+    },
+    PaperModel {
+        name: "dozznoc",
+        aliases: &[],
+        label: "DOZZNOC (ML+DVFS+PG)",
+        description: "the proposed model: offline-ridge DVFS plus gating",
+        uses_ml: true,
+    },
+    PaperModel {
+        name: "turbo",
+        aliases: &["ml-turbo"],
+        label: "ML+TURBO",
+        description: "DOZZNOC with every third intermediate prediction forced to M7",
+        uses_ml: true,
+    },
+];
+
+/// The table row of `kind`.
+pub(crate) fn paper_model(kind: ModelKind) -> &'static PaperModel {
+    &PAPER_MODELS[kind as usize]
 }
 
-struct BaselineFactory;
+/// One factory per paper model, in the Fig. 8 bar order.
+pub(crate) fn paper_factories() -> Vec<Box<dyn PolicyFactory>> {
+    ALL_MODELS
+        .iter()
+        .map(|&kind| Box::new(PaperFactory(kind)) as Box<dyn PolicyFactory>)
+        .collect()
+}
 
-impl PolicyFactory for BaselineFactory {
+struct PaperFactory(ModelKind);
+
+impl PolicyFactory for PaperFactory {
     fn name(&self) -> &'static str {
-        "baseline"
-    }
-    fn label(&self) -> &'static str {
-        "Baseline"
-    }
-    fn description(&self) -> &'static str {
-        "always-on M7, no gating, no DVFS"
-    }
-    fn build(
-        &self,
-        spec: &PolicySpec,
-        _ctx: &PolicyContext<'_>,
-    ) -> Result<Box<dyn PowerPolicy>, PolicyError> {
-        check_params(spec)?;
-        Ok(Box::new(Baseline))
-    }
-}
-
-struct PowerGatedFactory;
-
-impl PolicyFactory for PowerGatedFactory {
-    fn name(&self) -> &'static str {
-        "pg"
+        paper_model(self.0).name
     }
     fn aliases(&self) -> &'static [&'static str] {
-        &["powergated", "power-gated"]
+        paper_model(self.0).aliases
     }
     fn label(&self) -> &'static str {
-        "PG"
+        paper_model(self.0).label
     }
     fn description(&self) -> &'static str {
-        "Power Punch-style gating, M7-only active state"
-    }
-    fn build(
-        &self,
-        spec: &PolicySpec,
-        _ctx: &PolicyContext<'_>,
-    ) -> Result<Box<dyn PowerPolicy>, PolicyError> {
-        check_params(spec)?;
-        Ok(Box::new(PowerGated))
-    }
-}
-
-struct LeadFactory;
-
-impl PolicyFactory for LeadFactory {
-    fn name(&self) -> &'static str {
-        "lead"
-    }
-    fn aliases(&self) -> &'static [&'static str] {
-        &["lead-tau", "dvfs"]
-    }
-    fn label(&self) -> &'static str {
-        "ML+DVFS (LEAD-tau)"
-    }
-    fn description(&self) -> &'static str {
-        "LEAD-tau: offline-ridge proactive DVFS, never gated"
+        paper_model(self.0).description
     }
     fn uses_ml(&self) -> bool {
-        true
+        paper_model(self.0).uses_ml
     }
     fn build(
         &self,
-        spec: &PolicySpec,
+        _spec: &PolicySpec,
         ctx: &PolicyContext<'_>,
     ) -> Result<Box<dyn PowerPolicy>, PolicyError> {
-        check_params(spec)?;
-        Ok(Box::new(Proactive::lead(ctx.suite.lead.clone())))
-    }
-}
-
-struct DozzNocFactory;
-
-impl PolicyFactory for DozzNocFactory {
-    fn name(&self) -> &'static str {
-        "dozznoc"
-    }
-    fn label(&self) -> &'static str {
-        "DOZZNOC (ML+DVFS+PG)"
-    }
-    fn description(&self) -> &'static str {
-        "the proposed model: offline-ridge DVFS plus gating"
-    }
-    fn uses_ml(&self) -> bool {
-        true
-    }
-    fn build(
-        &self,
-        spec: &PolicySpec,
-        ctx: &PolicyContext<'_>,
-    ) -> Result<Box<dyn PowerPolicy>, PolicyError> {
-        check_params(spec)?;
-        Ok(Box::new(Proactive::dozznoc(ctx.suite.dozznoc.clone())))
-    }
-}
-
-struct TurboFactory;
-
-impl PolicyFactory for TurboFactory {
-    fn name(&self) -> &'static str {
-        "turbo"
-    }
-    fn aliases(&self) -> &'static [&'static str] {
-        &["ml-turbo"]
-    }
-    fn label(&self) -> &'static str {
-        "ML+TURBO"
-    }
-    fn description(&self) -> &'static str {
-        "DOZZNOC with every third intermediate prediction forced to M7"
-    }
-    fn uses_ml(&self) -> bool {
-        true
-    }
-    fn build(
-        &self,
-        spec: &PolicySpec,
-        ctx: &PolicyContext<'_>,
-    ) -> Result<Box<dyn PowerPolicy>, PolicyError> {
-        check_params(spec)?;
-        Ok(Box::new(Proactive::turbo(ctx.suite.turbo.clone())))
+        let suite = ctx.suite;
+        Ok(match self.0 {
+            ModelKind::Baseline => Box::new(Baseline),
+            ModelKind::PowerGated => Box::new(PowerGated),
+            ModelKind::LeadDvfs => Box::new(Proactive::lead(suite.lead.clone())),
+            ModelKind::DozzNoc => Box::new(Proactive::dozznoc(suite.dozznoc.clone())),
+            ModelKind::MlTurbo => Box::new(Proactive::turbo(suite.turbo.clone())),
+        })
     }
 }

@@ -1,7 +1,8 @@
-//! The five evaluation models, built through the
-//! [`crate::registry::PolicyRegistry`] plug-in API, plus the policies the
-//! training pipeline and the ablations construct directly: the reactive
-//! training variants, the oracle and the online-adaptive DVFS.
+//! The five evaluation models, built through
+//! [`crate::registry::PolicyRegistry::global`] from one table of paper
+//! models, plus the policies the training pipeline and the ablations
+//! construct directly: the reactive training variants, the oracle and
+//! the online-adaptive DVFS.
 
 mod adaptive;
 mod baseline;
@@ -18,4 +19,4 @@ pub use power_gate::PowerGated;
 pub use proactive::Proactive;
 pub use reactive::Reactive;
 
-pub(crate) use factories::builtin_factories;
+pub(crate) use factories::{paper_factories, paper_model};

@@ -1,42 +1,27 @@
-//! The open policy plug-in API: registry-backed [`PowerPolicy`]
-//! construction.
-//!
-//! The paper compares a closed set of five schemes, and until this
-//! module existed the code mirrored that closure:
-//! [`ModelKind`](crate::ModelKind) was an enum and every experiment
-//! matched on it, so adding a policy meant editing ~10 files. The registry inverts that dependency:
+//! The policy API: registry-backed [`PowerPolicy`] construction.
 //!
 //! * a [`PolicyFactory`] names one policy (canonical slug + aliases),
-//!   documents it, and builds instances from a [`PolicySpec`];
-//! * a [`PolicyRegistry`] owns a set of factories, resolves names,
-//!   parses CLI-style spec strings, and constructs policies;
-//! * a [`PolicySpec`] is the serializable currency of the system — a
-//!   policy name plus sorted key/value parameters — and its
-//!   [`PolicySpec::slug`] doubles as the run-cache key, so distinct
-//!   parameterizations of one policy never collide in the
-//!   content-addressed cache.
+//!   documents it, and builds instances for a [`PolicySpec`];
+//! * a [`PolicyRegistry`] owns an ordered set of factories, resolves
+//!   names and aliases, and constructs policies;
+//! * a [`PolicySpec`] is a canonical policy name, and its
+//!   [`PolicySpec::slug`] is the cell's run-cache key component.
 //!
-//! [`ModelKind`](crate::ModelKind) survives as a thin compatibility
-//! shim: its slugs are the paper factories' canonical names and
-//! [`ModelKind::spec`](crate::ModelKind::spec) bridges into this API,
-//! which keeps existing CSV schemas, CLI aliases, determinism goldens
-//! and cache fingerprints byte-stable while the rest of the system talks
-//! specs.
+//! [`PolicyRegistry::global`] holds exactly the five paper models of
+//! §IV, one [`ModelKind`](crate::ModelKind) each, in Fig. 8 bar order;
+//! their names, aliases and labels come from one table
+//! (`policy/factories.rs`). A caller that needs other factories builds
+//! its own registry from [`PolicyRegistry::empty`]: the benchmark wraps
+//! every global factory to time the policies it builds, and
+//! `tests/policy_plugin.rs` registers a plug-in beside such wrappers.
 //!
-//! The built-in registry holds exactly the five paper models.
-//! Third-party policies register into a caller-owned registry
-//! ([`PolicyRegistry::builtin`] or [`PolicyRegistry::empty`]) without
-//! touching `ModelKind` at all; `tests/policy_plugin.rs` exercises that
-//! contract end to end.
+//! ## Determinism contract
 //!
-//! ## Determinism contract for plug-in policies
-//!
-//! Policies may keep internal state and may explore randomly, but a
-//! built instance must be a *pure function of its spec and build
-//! context*: same spec + same suite ⇒ bit-identical decisions. Seeds
-//! therefore live in the spec as parameters, never in ambient entropy,
-//! which is what lets the work-stealing engine replay any cell from the
-//! run cache bit-identically at any job count.
+//! A built policy must be a pure function of its spec and build
+//! context: same spec + same suite ⇒ bit-identical decisions. Nothing
+//! may come from ambient entropy, which is what lets the work-stealing
+//! engine replay any cell from the run cache bit-identically at any job
+//! count.
 
 use std::sync::OnceLock;
 
@@ -58,24 +43,6 @@ pub enum PolicyError {
         /// All registered names and aliases, comma-joined.
         known: String,
     },
-    /// A spec parameter failed to parse or is out of range.
-    BadParam {
-        /// The policy the parameter was destined for.
-        policy: String,
-        /// The offending key.
-        key: String,
-        /// The offending value.
-        value: String,
-        /// What the factory expected.
-        expected: String,
-    },
-    /// A spec string was syntactically malformed.
-    BadSpec {
-        /// The input that failed to parse.
-        input: String,
-        /// What went wrong.
-        reason: String,
-    },
     /// `register` would shadow an existing name or alias.
     Duplicate {
         /// The colliding name.
@@ -89,18 +56,6 @@ impl core::fmt::Display for PolicyError {
             PolicyError::Unknown { name, known } => {
                 write!(f, "unknown policy '{name}'; known: {known}")
             }
-            PolicyError::BadParam {
-                policy,
-                key,
-                value,
-                expected,
-            } => write!(
-                f,
-                "policy '{policy}': parameter {key}={value} is invalid (expected {expected})"
-            ),
-            PolicyError::BadSpec { input, reason } => {
-                write!(f, "malformed policy spec '{input}': {reason}")
-            }
             PolicyError::Duplicate { name } => {
                 write!(f, "policy name or alias '{name}' is already registered")
             }
@@ -110,38 +65,17 @@ impl core::fmt::Display for PolicyError {
 
 impl std::error::Error for PolicyError {}
 
-/// A serializable policy configuration: canonical name plus sorted
-/// key/value parameters. This is what campaigns schedule, what the run
-/// cache keys on, and what `--model` parses into.
+/// A policy, by canonical name. This is what campaigns schedule, what
+/// the run cache keys on, and what `--model` parses into.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct PolicySpec {
     name: String,
-    /// Sorted by key; [`PolicySpec::with_param`] maintains the
-    /// invariant, so two specs with the same logical parameters are
-    /// structurally (and fingerprint-) equal.
-    params: Vec<(String, String)>,
 }
 
 impl PolicySpec {
-    /// A parameterless spec for `name` (the policy's defaults).
+    /// The spec for `name`.
     pub fn new(name: impl Into<String>) -> Self {
-        PolicySpec {
-            name: name.into(),
-            params: Vec::new(),
-        }
-    }
-
-    /// Add (or replace) one parameter, keeping keys sorted so parameter
-    /// order never leaks into equality or cache fingerprints.
-    #[must_use = "the updated spec is returned, not applied in place"]
-    pub fn with_param(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
-        let key = key.into();
-        let value = value.into();
-        match self.params.binary_search_by(|(k, _)| k.as_str().cmp(&key)) {
-            Ok(i) => self.params[i].1 = value,
-            Err(i) => self.params.insert(i, (key, value)),
-        }
-        self
+        PolicySpec { name: name.into() }
     }
 
     /// The canonical policy name.
@@ -149,111 +83,16 @@ impl PolicySpec {
         &self.name
     }
 
-    /// The sorted parameter list.
-    pub fn params(&self) -> &[(String, String)] {
-        &self.params
-    }
-
-    /// Look up one parameter's raw value.
-    pub fn get(&self, key: &str) -> Option<&str> {
-        self.params
-            .binary_search_by(|(k, _)| k.as_str().cmp(key))
-            .ok()
-            .map(|i| self.params[i].1.as_str())
-    }
-
-    /// A parameter parsed as `f64`, or `default` when absent.
-    pub fn param_f64(&self, key: &str, default: f64) -> Result<f64, PolicyError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(raw) => raw.parse().map_err(|_| self.bad_param(key, "a number")),
-        }
-    }
-
-    /// A parameter parsed as `u64`, or `default` when absent.
-    pub fn param_u64(&self, key: &str, default: u64) -> Result<u64, PolicyError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| self.bad_param(key, "a non-negative integer")),
-        }
-    }
-
-    /// A parameter parsed as `bool` (`true`/`false`/`1`/`0`), or
-    /// `default` when absent.
-    pub fn param_bool(&self, key: &str, default: bool) -> Result<bool, PolicyError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some("true") | Some("1") => Ok(true),
-            Some("false") | Some("0") => Ok(false),
-            Some(_) => Err(self.bad_param(key, "true/false/1/0")),
-        }
-    }
-
-    fn bad_param(&self, key: &str, expected: &str) -> PolicyError {
-        PolicyError::BadParam {
-            policy: self.name.clone(),
-            key: key.to_string(),
-            value: self.get(key).unwrap_or_default().to_string(),
-            expected: expected.to_string(),
-        }
-    }
-
-    /// The spec's stable identity string: the bare name when there are
-    /// no parameters (byte-identical to the old `ModelKind::slug`, which
-    /// keeps warm run caches and file names valid), or
-    /// `name?k=v&k2=v2` with keys in sorted order otherwise. Round-trips
-    /// through [`PolicySpec::parse_str`] and is the cell's run-cache key
-    /// component, so distinct parameterizations never collide.
+    /// The spec's stable identity string: the policy name, which is the
+    /// cell's run-cache key component and file-name stem.
     pub fn slug(&self) -> String {
-        if self.params.is_empty() {
-            return self.name.clone();
-        }
-        let mut s = self.name.clone();
-        for (i, (k, v)) in self.params.iter().enumerate() {
-            s.push(if i == 0 { '?' } else { '&' });
-            s.push_str(k);
-            s.push('=');
-            s.push_str(v);
-        }
-        s
-    }
-
-    /// Parse a `name` / `name?k=v&k2=v2` spec string *without* resolving
-    /// aliases — [`PolicyRegistry::parse`] is the boundary that also
-    /// canonicalizes the name.
-    pub fn parse_str(input: &str) -> Result<PolicySpec, PolicyError> {
-        let bad = |reason: &str| PolicyError::BadSpec {
-            input: input.to_string(),
-            reason: reason.to_string(),
-        };
-        let (name, rest) = match input.split_once('?') {
-            None => (input, None),
-            Some((n, r)) => (n, Some(r)),
-        };
-        if name.is_empty() {
-            return Err(bad("empty policy name"));
-        }
-        let mut spec = PolicySpec::new(name);
-        if let Some(rest) = rest {
-            for pair in rest.split('&') {
-                let Some((k, v)) = pair.split_once('=') else {
-                    return Err(bad("parameters must be key=value pairs joined by '&'"));
-                };
-                if k.is_empty() {
-                    return Err(bad("empty parameter key"));
-                }
-                spec = spec.with_param(k, v);
-            }
-        }
-        Ok(spec)
+        self.name.clone()
     }
 }
 
 impl core::fmt::Display for PolicySpec {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str(&self.slug())
+        f.write_str(&self.name)
     }
 }
 
@@ -296,9 +135,9 @@ pub trait PolicyFactory: Send + Sync {
         false
     }
 
-    /// Construct one policy instance for `spec`. Rejects unknown or
-    /// out-of-range parameters with a [`PolicyError`] instead of
-    /// panicking — factories run inside campaign workers.
+    /// Construct one policy instance for `spec`. Failure is a
+    /// [`PolicyError`], never a panic: factories run inside campaign
+    /// workers.
     fn build(
         &self,
         spec: &PolicySpec,
@@ -306,36 +145,28 @@ pub trait PolicyFactory: Send + Sync {
     ) -> Result<Box<dyn PowerPolicy>, PolicyError>;
 }
 
-/// An open, ordered set of [`PolicyFactory`]s. Registration order is
+/// An ordered set of [`PolicyFactory`]s. Registration order is
 /// presentation order.
 pub struct PolicyRegistry {
     factories: Vec<Box<dyn PolicyFactory>>,
 }
 
 impl PolicyRegistry {
-    /// An empty registry (for fully custom policy sets).
+    /// An empty registry, for a caller-composed policy set.
     pub fn empty() -> Self {
         PolicyRegistry {
             factories: Vec::new(),
         }
     }
 
-    /// A registry pre-loaded with the five paper models in Fig. 8 bar
-    /// order.
-    pub fn builtin() -> Self {
-        let mut r = PolicyRegistry::empty();
-        for f in crate::policy::builtin_factories() {
-            r.register(f)
-                .expect("built-in factory names are distinct by construction");
-        }
-        r
-    }
-
-    /// The shared built-in registry the `ModelKind` compatibility shim
-    /// and the CLI resolve against.
+    /// The five paper models in Fig. 8 bar order: the registry the
+    /// campaign engine, the CLI and [`ModelKind`](crate::ModelKind)
+    /// resolve against.
     pub fn global() -> &'static PolicyRegistry {
         static GLOBAL: OnceLock<PolicyRegistry> = OnceLock::new();
-        GLOBAL.get_or_init(PolicyRegistry::builtin)
+        GLOBAL.get_or_init(|| PolicyRegistry {
+            factories: crate::policy::paper_factories(),
+        })
     }
 
     /// Add a factory. Fails (registry unchanged) when its name or any
@@ -364,8 +195,7 @@ impl PolicyRegistry {
         self.factories.iter().map(|f| f.name()).collect()
     }
 
-    /// One defaults-only spec per registered policy, in registration
-    /// order.
+    /// One spec per registered policy, in registration order.
     pub fn default_specs(&self) -> Vec<PolicySpec> {
         self.factories
             .iter()
@@ -403,15 +233,10 @@ impl PolicyRegistry {
             })
     }
 
-    /// Parse a CLI-style spec string (`name` or `name?k=v&k2=v2`,
-    /// aliases accepted) into a canonical [`PolicySpec`].
+    /// Resolve a CLI policy name or alias into its canonical
+    /// [`PolicySpec`].
     pub fn parse(&self, input: &str) -> Result<PolicySpec, PolicyError> {
-        let raw = PolicySpec::parse_str(input)?;
-        let factory = self.resolve(raw.name())?;
-        Ok(PolicySpec {
-            name: factory.name().to_string(),
-            params: raw.params,
-        })
+        Ok(PolicySpec::new(self.resolve(input)?.name()))
     }
 
     /// Build a policy for `spec` against `ctx`.
@@ -435,79 +260,80 @@ impl core::fmt::Debug for PolicyRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::{ModelKind, ALL_MODELS};
     use crate::training::Trainer;
     use dozznoc_ml::FeatureSet;
     use dozznoc_topology::Topology;
 
-    fn suite() -> ModelSuite {
-        ModelSuite::train(
-            &Trainer::new(Topology::mesh8x8()).with_duration_ns(2_000),
-            FeatureSet::Reduced5,
-        )
-    }
-
     #[test]
-    fn spec_params_stay_sorted_and_replace() {
-        let s = PolicySpec::new("custom")
-            .with_param("forgetting", "0.9")
-            .with_param("delta", "10")
-            .with_param("forgetting", "0.95");
-        assert_eq!(s.get("forgetting"), Some("0.95"));
-        assert_eq!(s.get("delta"), Some("10"));
-        assert_eq!(s.slug(), "custom?delta=10&forgetting=0.95");
-        // Insertion order must not matter.
-        let t = PolicySpec::new("custom")
-            .with_param("forgetting", "0.95")
-            .with_param("delta", "10");
-        assert_eq!(s, t);
-    }
-
-    #[test]
-    fn parameterless_slug_is_the_bare_name() {
-        assert_eq!(PolicySpec::new("dozznoc").slug(), "dozznoc");
-    }
-
-    #[test]
-    fn spec_string_round_trips() {
-        for slug in ["baseline", "custom?epsilon=0.2&seed=7"] {
-            let spec = PolicySpec::parse_str(slug).expect("valid spec");
-            assert_eq!(spec.slug(), slug);
+    fn global_registry_is_the_paper_table() {
+        let expected: [(ModelKind, &str, &[&str], &str, bool); 5] = [
+            (ModelKind::Baseline, "baseline", &[], "Baseline", false),
+            (
+                ModelKind::PowerGated,
+                "pg",
+                &["powergated", "power-gated"],
+                "PG",
+                false,
+            ),
+            (
+                ModelKind::LeadDvfs,
+                "lead",
+                &["lead-tau", "dvfs"],
+                "ML+DVFS (LEAD-tau)",
+                true,
+            ),
+            (
+                ModelKind::DozzNoc,
+                "dozznoc",
+                &[],
+                "DOZZNOC (ML+DVFS+PG)",
+                true,
+            ),
+            (ModelKind::MlTurbo, "turbo", &["ml-turbo"], "ML+TURBO", true),
+        ];
+        let r = PolicyRegistry::global();
+        assert_eq!(r.factories().count(), expected.len());
+        for (f, (kind, name, aliases, label, uses_ml)) in r.factories().zip(expected) {
+            assert_eq!(
+                (f.name(), f.aliases(), f.label(), f.uses_ml()),
+                (name, aliases, label, uses_ml)
+            );
+            assert_eq!((kind.slug(), kind.label()), (name, label));
+            assert_eq!(
+                (kind.spec().slug(), kind.spec().to_string()),
+                (name.into(), name.into())
+            );
+            assert_eq!(r.parse(name), Ok(kind.spec()));
+            for alias in aliases {
+                assert_eq!(r.parse(alias), Ok(kind.spec()), "{alias}");
+            }
         }
-        assert!(PolicySpec::parse_str("").is_err());
-        assert!(PolicySpec::parse_str("x?noequals").is_err());
-        assert!(PolicySpec::parse_str("x?=v").is_err());
+        assert_eq!(r.default_specs(), ALL_MODELS.map(|k| k.spec()));
     }
 
     #[test]
     fn unknown_policy_error_lists_the_field() {
-        let err = PolicyRegistry::global().parse("nonsense").unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("unknown policy 'nonsense'"), "{msg}");
-        for name in ["baseline", "pg", "lead", "dozznoc", "turbo"] {
-            assert!(msg.contains(name), "{msg} missing {name}");
-        }
-    }
-
-    #[test]
-    fn aliases_resolve_to_canonical_names() {
-        let r = PolicyRegistry::global();
-        for (alias, canonical) in [
-            ("powergated", "pg"),
-            ("power-gated", "pg"),
-            ("LEAD-TAU", "lead"),
-            ("dvfs", "lead"),
-            ("ml-turbo", "turbo"),
-        ] {
-            assert_eq!(r.parse(alias).expect(alias).name(), canonical);
-        }
+        let msg = PolicyRegistry::global()
+            .parse("nonsense")
+            .unwrap_err()
+            .to_string();
+        assert_eq!(
+            msg,
+            "unknown policy 'nonsense'; known: baseline, pg (powergated, power-gated), \
+             lead (lead-tau, dvfs), dozznoc, turbo (ml-turbo)"
+        );
     }
 
     #[test]
     fn duplicate_registration_is_rejected() {
-        struct Dup;
+        struct Dup(&'static str);
         impl PolicyFactory for Dup {
             fn name(&self) -> &'static str {
-                "baseline"
+                self.0
+            }
+            fn aliases(&self) -> &'static [&'static str] {
+                &["Power-Gated"]
             }
             fn description(&self) -> &'static str {
                 "shadow"
@@ -520,78 +346,42 @@ mod tests {
                 Ok(Box::new(crate::policy::Baseline))
             }
         }
-        let mut r = PolicyRegistry::builtin();
-        let err = r.register(Box::new(Dup)).unwrap_err();
+        let mut r = PolicyRegistry::empty();
+        assert_eq!(r.register(Box::new(Dup("pg"))), Ok(()));
         assert_eq!(
-            err,
-            PolicyError::Duplicate {
-                name: "baseline".into()
-            }
+            r.register(Box::new(Dup("PG"))),
+            Err(PolicyError::Duplicate { name: "PG".into() })
         );
+        assert_eq!(
+            r.register(Box::new(Dup("fresh"))),
+            Err(PolicyError::Duplicate {
+                name: "Power-Gated".into()
+            })
+        );
+        assert_eq!(r.names(), ["pg"]);
     }
 
     #[test]
-    fn bad_params_are_errors_not_panics() {
-        let s = suite();
-        let ctx = PolicyContext { suite: &s };
-        let r = PolicyRegistry::global();
-        let spec = PolicySpec::new("dozznoc").with_param("gamma", "1.5");
-        let err = r.build(&spec, &ctx).err().expect("bad param must error");
-        assert!(matches!(err, PolicyError::BadParam { .. }), "{err}");
-
-        // Malformed values for the typed accessors a plug-in factory uses.
-        let spec = PolicySpec::new("custom")
-            .with_param("forgetting", "fast")
-            .with_param("warm", "maybe")
-            .with_param("seed", "-1");
-        for err in [
-            spec.param_f64("forgetting", 1.0).unwrap_err(),
-            spec.param_bool("warm", false).unwrap_err(),
-            spec.param_u64("seed", 0).unwrap_err(),
-        ] {
-            assert!(matches!(err, PolicyError::BadParam { .. }), "{err}");
-        }
-        assert_eq!(
-            spec.param_f64("forgetting", 1.0).unwrap_err(),
-            PolicyError::BadParam {
-                policy: "custom".into(),
-                key: "forgetting".into(),
-                value: "fast".into(),
-                expected: "a number".into(),
-            }
+    fn every_paper_model_builds_with_its_gating_and_features() {
+        let suite = ModelSuite::train(
+            &Trainer::new(Topology::mesh8x8()).with_duration_ns(2_000),
+            FeatureSet::Reduced5,
         );
-        // Absent keys fall back to the default; well-formed values parse.
-        assert_eq!(spec.param_f64("absent", 0.5), Ok(0.5));
-        let spec = PolicySpec::new("custom")
-            .with_param("forgetting", "0.99")
-            .with_param("warm", "1")
-            .with_param("seed", "7");
-        assert_eq!(spec.param_f64("forgetting", 1.0), Ok(0.99));
-        assert_eq!(spec.param_bool("warm", false), Ok(true));
-        assert_eq!(spec.param_u64("seed", 0), Ok(7));
-    }
-
-    #[test]
-    fn every_builtin_builds_from_its_default_spec() {
-        let s = suite();
-        let ctx = PolicyContext { suite: &s };
+        let ctx = PolicyContext { suite: &suite };
         let r = PolicyRegistry::global();
-        assert_eq!(r.names(), ["baseline", "pg", "lead", "dozznoc", "turbo"]);
-        for spec in r.default_specs() {
-            let policy = r.build(&spec, &ctx).expect("default spec builds");
-            // Legacy policies keep their frozen display names (e.g. slug
-            // "pg" builds a policy named "power-gated"), but every such
-            // name must resolve back to the same factory via an alias.
-            let canonical = r
-                .resolve(policy.name())
-                .expect("policy name resolves")
-                .name();
-            assert_eq!(
-                canonical,
-                spec.name(),
-                "policy {} round-trips",
-                policy.name()
+        for kind in ALL_MODELS {
+            let policy = r.build(&kind.spec(), &ctx).expect("paper spec builds");
+            let factory = r.resolve(kind.slug()).expect("paper model registered");
+            let gates = matches!(
+                kind,
+                ModelKind::PowerGated | ModelKind::DozzNoc | ModelKind::MlTurbo
             );
+            assert_eq!(policy.gating_enabled(), gates, "{kind}");
+            assert_eq!(policy.ml_features().is_some(), factory.uses_ml(), "{kind}");
+            // Policies keep their own display names (slug "pg" builds a
+            // policy named "power-gated"), each an alias of its factory.
+            let canonical = r.resolve(policy.name()).expect("policy name resolves");
+            assert_eq!(canonical.name(), kind.slug(), "{}", policy.name());
         }
     }
 }

@@ -140,8 +140,8 @@ usage: dozz-repro <command> [--quick] [--out DIR] [--seed N] [--jobs N] [--no-ca
        dozz-repro timeline [--bench NAME] [--model NAME] [flags above]
        dozz-repro check [--bench NAME] [flags above]
 
---model accepts any registered policy by name or alias: baseline,
-pg, lead, dozznoc, turbo.
+--model names one paper model: baseline, pg (powergated, power-gated),
+lead (lead-tau, dvfs), dozznoc, turbo (ml-turbo).
 
 campaign matrices run on --jobs N workers (default: all cores, or the
 DOZZ_JOBS env var) with a content-addressed run cache under

@@ -11,9 +11,9 @@
 //!   transition (gate-off, wakeup start/done, mode switch) with its
 //!   tick timestamp.
 //!
-//! `--model` accepts any registered policy by slug or alias (`dozznoc`,
-//! `power-gated`, …). Unknown names list the full registry instead of
-//! panicking.
+//! `--model` accepts a paper model by name or alias (`dozznoc`,
+//! `power-gated`, …). Any other name exits 2 with the registry's full
+//! name listing instead of panicking.
 
 use dozznoc_core::{run_policy_with_telemetry, ModelSuite, PolicyRegistry, PolicySpec};
 use dozznoc_ml::{FeatureSet, TrainedModel};

@@ -19,7 +19,7 @@
 //!   transpose, bit-complement, hotspot, tornado) for unit tests and
 //!   stress benches.
 //! * [`splits`] — the paper's 6 train / 3 validation / 5 test partition.
-//! * [`io`] — durable trace files (JSON and the compact DZTR binary).
+//! * [`io`] — durable JSON trace files.
 
 pub mod io;
 pub mod patterns;

@@ -1,11 +1,9 @@
-//! Trace-file workflow: generate → save (JSON / DZTR binary) → load →
+//! Trace-file workflow: generate → save (JSON) → load →
 //! inspect → compress → replay, plus a per-router activity heatmap.
 //!
 //! ```text
 //! cargo run --release --example trace_tools [benchmark]
 //! ```
-
-use std::path::PathBuf;
 
 use dozznoc::prelude::*;
 use dozznoc::traffic::io;
@@ -22,8 +20,10 @@ fn main() {
         });
 
     let topo = Topology::mesh8x8();
+    // 2 µs keeps the JSON file small: the vendored JSON parser's load
+    // time grows with the square of the file size.
     let trace = TraceGenerator::new(topo)
-        .with_duration_ns(8_000)
+        .with_duration_ns(2_000)
         .generate(bench);
 
     // ── inspect ──
@@ -40,26 +40,14 @@ fn main() {
         s.active_cores
     );
 
-    // ── save in both formats and compare sizes ──
-    let dir = std::env::temp_dir();
-    let json_path: PathBuf = dir.join(format!("{}.json", trace.name));
-    let bin_path: PathBuf = dir.join(format!("{}.dztr", trace.name));
-    io::save(&trace, &json_path).expect("save json");
-    io::save(&trace, &bin_path).expect("save binary");
-    let (json_len, bin_len) = (
-        std::fs::metadata(&json_path).unwrap().len(),
-        std::fs::metadata(&bin_path).unwrap().len(),
-    );
-    println!(
-        "\nsaved {} ({json_len} B json, {bin_len} B dztr — {:.1}× smaller)",
-        trace.name,
-        json_len as f64 / bin_len as f64
-    );
-
-    // ── load back and verify ──
-    let reloaded = io::load(&bin_path).expect("load binary");
-    assert_eq!(reloaded, trace, "binary round trip must be exact");
-    println!("binary round trip verified ({} packets)", reloaded.len());
+    // ── save, load back and verify ──
+    let path = std::env::temp_dir().join(format!("{}.json", trace.name));
+    io::save(&trace, &path).expect("save json");
+    let size = std::fs::metadata(&path).unwrap().len();
+    println!("\nsaved {} ({size} B json)", path.display());
+    let reloaded = io::load(&path).expect("load json");
+    assert_eq!(reloaded, trace, "json round trip must be exact");
+    println!("json round trip verified ({} packets)", reloaded.len());
 
     // ── compress and replay under DozzNoC ──
     let compressed = trace.rescale(2, 3);
@@ -111,6 +99,5 @@ fn main() {
         / 64.0;
     println!("  mean off-fraction {:.1}%", mean_off * 100.0);
 
-    std::fs::remove_file(&json_path).ok();
-    std::fs::remove_file(&bin_path).ok();
+    std::fs::remove_file(&path).ok();
 }

@@ -35,7 +35,7 @@
 //! | [`ml`] | ridge regression, feature sets, datasets, metrics |
 //! | [`traffic`] | 14 synthetic PARSEC/SPLASH-2-like workloads, patterns |
 //! | [`noc`] | the cycle-accurate multi-clock-domain simulator |
-//! | [`core`] | the DozzNoC policies, plug-in policy registry, training pipeline, experiment API |
+//! | [`core`] | the DozzNoC policies, paper-model policy registry, training pipeline, experiment API |
 
 pub use dozznoc_core as core;
 pub use dozznoc_ml as ml;

@@ -16,20 +16,14 @@
 //! ```
 
 use std::num::NonZeroUsize;
-use std::path::PathBuf;
 
 use dozznoc::prelude::*;
+
+mod common;
 
 /// Short horizon: determinism does not need statistical power, and the
 /// suite must stay cheap enough for tier-1.
 const DUR_NS: u64 = 2_000;
-
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("goldens")
-        .join("run_reports.json")
-}
 
 #[test]
 fn every_campaign_cell_matches_golden_run_reports() {
@@ -49,48 +43,7 @@ fn every_campaign_cell_matches_golden_run_reports() {
     // serialized document is a stable function of simulator behavior.
     let actual = serde_json::to_string_pretty(&results).expect("reports serialize");
 
-    let path = golden_path();
-    #[allow(
-        clippy::disallowed_methods,
-        reason = "DOZZNOC_BLESS only selects between rewriting and comparing the golden file"
-    )]
-    let bless = std::env::var_os("DOZZNOC_BLESS").is_some();
-    if bless {
-        std::fs::create_dir_all(path.parent().expect("golden path has a parent"))
-            .expect("create goldens dir");
-        std::fs::write(&path, &actual).expect("write golden file");
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); generate it with \
-             DOZZNOC_BLESS=1 cargo test --test determinism",
-            path.display()
-        )
-    });
-    if actual != golden {
-        // Point at the first diverging cell rather than dumping both
-        // multi-thousand-line documents.
-        let line = actual.lines().zip(golden.lines()).position(|(a, g)| a != g);
-        match line {
-            Some(n) => {
-                let a = actual.lines().nth(n).unwrap_or_default();
-                let g = golden.lines().nth(n).unwrap_or_default();
-                panic!(
-                    "RunReport diverged from golden at line {}:\n  actual: {a}\n  golden: {g}\n\
-                     If this change is intentional, re-bless with \
-                     DOZZNOC_BLESS=1 cargo test --test determinism",
-                    n + 1
-                );
-            }
-            None => panic!(
-                "RunReport output differs from golden only in length \
-                 ({} vs {} lines); re-bless if intentional",
-                actual.lines().count(),
-                golden.lines().count()
-            ),
-        }
-    }
+    common::assert_golden("run_reports.json", &actual);
 }
 
 /// The engine contract: any worker count, cold or warm cache, same

@@ -15,13 +15,13 @@
 //! DOZZNOC_BLESS=1 cargo test --test idle_goldens
 //! ```
 
-use std::path::PathBuf;
-
 use dozznoc::noc::network::SimError;
 use dozznoc::prelude::*;
 use dozznoc::traffic::trace::packet;
 
 use serde_json::{json, Value};
+
+mod common;
 
 /// Short horizon, as in `tests/determinism.rs`.
 const DUR_NS: u64 = 2_000;
@@ -29,13 +29,6 @@ const DUR_NS: u64 = 2_000;
 /// Benchmarks for the campaign-shaped cells (kept to two so the file
 /// stays cheap enough for tier-1).
 const BENCHES: [Benchmark; 2] = [Benchmark::Fft, Benchmark::X264];
-
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("goldens")
-        .join("idle_reports.jsonl")
-}
 
 fn suite(topo: Topology) -> ModelSuite {
     ModelSuite::train(
@@ -199,39 +192,5 @@ fn actual_lines() -> Vec<String> {
 fn idle_network_paths_match_golden() {
     let mut actual = actual_lines().join("\n");
     actual.push('\n');
-    let path = golden_path();
-    #[allow(
-        clippy::disallowed_methods,
-        reason = "DOZZNOC_BLESS only selects between rewriting and comparing the golden file"
-    )]
-    let bless = std::env::var_os("DOZZNOC_BLESS").is_some();
-    if bless {
-        std::fs::write(&path, &actual).expect("write golden file");
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); generate it with \
-             DOZZNOC_BLESS=1 cargo test --test idle_goldens",
-            path.display()
-        )
-    });
-    if actual != golden {
-        let line = actual.lines().zip(golden.lines()).position(|(a, g)| a != g);
-        match line {
-            Some(n) => panic!(
-                "idle golden diverged at line {}:\n  actual: {}\n  golden: {}\n\
-                 If this change is intentional, re-bless with \
-                 DOZZNOC_BLESS=1 cargo test --test idle_goldens",
-                n + 1,
-                actual.lines().nth(n).unwrap_or_default(),
-                golden.lines().nth(n).unwrap_or_default(),
-            ),
-            None => panic!(
-                "idle golden differs only in length ({} vs {} lines)",
-                actual.lines().count(),
-                golden.lines().count()
-            ),
-        }
-    }
+    common::assert_golden("idle_reports.jsonl", &actual);
 }

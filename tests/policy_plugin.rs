@@ -1,18 +1,16 @@
-//! The policy plug-in API contract, exercised from *outside* the
-//! workspace internals — exactly how a third-party crate would use it.
+//! The policy registry contract, exercised from *outside* the workspace
+//! internals, the way `dozz-bench` uses it.
 //!
 //! Three guarantees:
 //!
-//! 1. a custom [`PolicyFactory`] registers and runs full campaigns
-//!    without touching `ModelKind` or any other enum;
-//! 2. the [`ModelKind`] compatibility shim and the open
-//!    [`PolicySpec`] path key the run cache identically — a cache
-//!    warmed through `run_cells` replays byte-for-byte through
-//!    `run_policy_cells` (the fingerprint-stability proof);
-//! 3. spec strings round-trip: `parse(slug(spec)) == spec` for any
-//!    parameterization, and every alias canonicalizes.
-
-use proptest::prelude::*;
+//! 1. a plug-in [`PolicyFactory`], registered into
+//!    [`PolicyRegistry::empty`] beside wrappers of the global factories,
+//!    runs through `run_trace_cells` without touching `ModelKind`;
+//! 2. [`ModelKind`] and [`PolicySpec`] key the run cache identically: a
+//!    cache warmed through `run_cells` replays byte-for-byte through
+//!    `run_trace_cells` (the fingerprint-stability proof);
+//! 3. every name and alias canonicalizes, and anything else (a `?`
+//!    suffix included) is `PolicyError::Unknown`.
 
 use dozznoc::core::model::ALL_MODELS;
 use dozznoc::prelude::*;
@@ -26,10 +24,9 @@ fn quick_suite(topo: Topology) -> ModelSuite {
     )
 }
 
-/// A deliberately simple out-of-tree policy: alternate M7 and M3 on a
-/// fixed period — nothing the built-in set provides.
+/// A deliberately simple out-of-tree policy: alternate M7 and M3 every
+/// four epochs — nothing the built-in set provides.
 struct DutyCycle {
-    period: u64,
     epoch: u64,
 }
 
@@ -38,7 +35,7 @@ impl PowerPolicy for DutyCycle {
         if router.idx() == 0 {
             self.epoch += 1;
         }
-        if (self.epoch / self.period).is_multiple_of(2) {
+        if (self.epoch / 4).is_multiple_of(2) {
             Mode::M7
         } else {
             Mode::M3
@@ -62,24 +59,48 @@ impl PolicyFactory for DutyCycleFactory {
     }
 
     fn description(&self) -> &'static str {
-        "alternates M7/M3 on a fixed epoch period (test plug-in)"
+        "alternates M7/M3 every four epochs (test plug-in)"
+    }
+
+    fn build(
+        &self,
+        _spec: &PolicySpec,
+        _ctx: &PolicyContext<'_>,
+    ) -> Result<Box<dyn PowerPolicy>, PolicyError> {
+        Ok(Box::new(DutyCycle { epoch: 0 }))
+    }
+}
+
+/// A global factory under another owner, forwarding every method.
+struct Wrapped(&'static dyn PolicyFactory);
+
+impl PolicyFactory for Wrapped {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn aliases(&self) -> &'static [&'static str] {
+        self.0.aliases()
+    }
+
+    fn label(&self) -> &'static str {
+        self.0.label()
+    }
+
+    fn description(&self) -> &'static str {
+        self.0.description()
+    }
+
+    fn uses_ml(&self) -> bool {
+        self.0.uses_ml()
     }
 
     fn build(
         &self,
         spec: &PolicySpec,
-        _ctx: &PolicyContext<'_>,
+        ctx: &PolicyContext<'_>,
     ) -> Result<Box<dyn PowerPolicy>, PolicyError> {
-        let period = spec.param_u64("period", 4)?;
-        if period == 0 {
-            return Err(PolicyError::BadParam {
-                policy: "duty-cycle".to_string(),
-                key: "period".to_string(),
-                value: "0".to_string(),
-                expected: "a positive epoch count".to_string(),
-            });
-        }
-        Ok(Box::new(DutyCycle { period, epoch: 0 }))
+        self.0.build(spec, ctx)
     }
 }
 
@@ -87,103 +108,88 @@ impl PolicyFactory for DutyCycleFactory {
 /// registration alone.
 #[test]
 fn third_party_factory_runs_campaigns_without_touching_modelkind() {
-    let mut registry = PolicyRegistry::builtin();
+    let mut registry = PolicyRegistry::empty();
+    for factory in PolicyRegistry::global().factories() {
+        registry
+            .register(Box::new(Wrapped(factory)))
+            .expect("global names are distinct");
+    }
     registry
         .register(Box::new(DutyCycleFactory))
         .expect("fresh name registers");
-    assert!(registry.names().contains(&"duty-cycle"));
+    let mut names = PolicyRegistry::global().names();
+    names.push("duty-cycle");
+    assert_eq!(registry.names(), names);
 
-    // Aliases and parameterized spec strings work immediately.
-    let spec = registry.parse("duty?period=2").expect("alias spec parses");
-    assert_eq!(spec.name(), "duty-cycle");
+    let spec = registry.parse("DUTY").expect("alias parses");
+    assert_eq!(spec, PolicySpec::new("duty-cycle"));
 
     let topo = Topology::mesh8x8();
     let suite = quick_suite(topo);
     let campaign = Campaign::new(topo).with_duration_ns(DUR_NS);
+    let trace = campaign.trace(Benchmark::Fft);
     let cells = campaign
-        .run_policy_cells(
-            &[Benchmark::Fft],
-            &[spec.clone(), PolicySpec::new("baseline")],
+        .run_trace_cells(
+            &[trace],
+            &[spec.clone(), ModelKind::Baseline.spec()],
             &suite,
             &registry,
-            &EngineOptions {
-                jobs: None,
-                cache: None,
-                sanitize: false,
-                measure: false,
-            },
+            &EngineOptions::default(),
         )
         .expect("both specs build");
     assert_eq!(cells.len(), 2);
     assert_eq!(cells[0].result.policy, spec);
     assert_eq!(cells[0].result.report.policy, "duty-cycle");
     assert!(cells[0].result.report.stats.packets_delivered > 0);
+    assert_eq!(cells[1].result.report.policy, "baseline");
 
-    // Bad parameters fail fast, before any cell simulates.
-    let err = campaign
-        .run_policy_cells(
-            &[Benchmark::Fft],
-            &[registry.parse("duty?period=0").expect("well-formed string")],
-            &suite,
-            &registry,
-            &EngineOptions {
-                jobs: None,
-                cache: None,
-                sanitize: false,
-                measure: false,
-            },
-        )
-        .expect_err("period=0 must be rejected");
-    assert!(matches!(err, PolicyError::BadParam { .. }), "{err}");
+    // The global registry does not know the plug-in.
+    let err = PolicyRegistry::global()
+        .build(&spec, &PolicyContext { suite: &suite })
+        .err();
+    assert!(matches!(err, Some(PolicyError::Unknown { .. })));
 
     // Re-registering a taken name (or alias) is rejected.
-    let dup = PolicyRegistry::builtin().register(Box::new(DutyCycleFactory));
-    assert!(dup.is_ok(), "fresh builtin registry has no duty-cycle");
     let err = registry.register(Box::new(DutyCycleFactory)).err();
     assert!(matches!(err, Some(PolicyError::Duplicate { .. })));
 }
 
-/// Guarantee 2: a cache warmed through the legacy `ModelKind` engine
-/// replays through the open-spec engine — same fingerprints, same
-/// envelope, same bytes.
+/// Guarantee 2: a cache warmed through the `ModelKind` engine replays
+/// through the spec engine — same fingerprints, same envelope, same
+/// bytes.
 #[test]
 fn spec_path_replays_a_cache_warmed_by_the_modelkind_path() {
     let topo = Topology::mesh8x8();
     let suite = quick_suite(topo);
     let campaign = Campaign::new(topo).with_duration_ns(DUR_NS);
-    let benches = [Benchmark::Fft];
+    let benches = [Benchmark::Fft, Benchmark::Lu];
 
     let cache_dir =
         std::env::temp_dir().join(format!("dozznoc-plugin-crosscache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&cache_dir);
     let cache = RunCache::open(&cache_dir);
-    let opts = |cache| EngineOptions {
-        jobs: None,
-        cache,
-        sanitize: false,
-        measure: false,
+    let opts = EngineOptions {
+        cache: Some(&cache),
+        ..EngineOptions::default()
     };
 
-    let legacy = campaign.run_cells(&benches, &suite, &opts(Some(&cache)));
-    assert!(legacy.iter().all(|c| !c.cache_hit), "cold run simulates");
+    let warmed = campaign.run_cells(&benches, &suite, &opts);
+    assert!(warmed.iter().all(|c| !c.cache_hit), "cold run simulates");
 
+    let traces: Vec<Trace> = benches.iter().map(|&b| campaign.trace(b)).collect();
     let specs: Vec<PolicySpec> = ALL_MODELS.iter().map(ModelKind::spec).collect();
     let replay = campaign
-        .run_policy_cells(
-            &benches,
-            &specs,
-            &suite,
-            PolicyRegistry::global(),
-            &opts(Some(&cache)),
-        )
+        .run_trace_cells(&traces, &specs, &suite, PolicyRegistry::global(), &opts)
         .expect("paper-model specs build");
+    assert_eq!(replay.len(), warmed.len());
     assert!(
         replay.iter().all(|c| c.cache_hit),
         "every ModelKind-warmed cell must replay through the spec path"
     );
-    for (l, r) in legacy.iter().zip(&replay) {
-        assert_eq!(l.result.model.slug(), r.result.policy.slug());
-        let a = serde_json::to_string(&l.result.report).expect("report serializes");
+    for (w, r) in warmed.iter().zip(&replay) {
+        assert_eq!(w.result.benchmark, r.result.benchmark);
+        assert_eq!(w.result.model.spec(), r.result.policy);
+        let a = serde_json::to_string(&w.result.report).expect("report serializes");
         let b = serde_json::to_string(&r.result.report).expect("report serializes");
         assert_eq!(a, b, "replayed report must be byte-identical");
     }
@@ -191,41 +197,26 @@ fn spec_path_replays_a_cache_warmed_by_the_modelkind_path() {
     let _ = std::fs::remove_dir_all(&cache_dir);
 }
 
-/// Guarantee 3a: every alias (any case) canonicalizes to its factory.
+/// Guarantee 3: every name and alias, in any case, canonicalizes to
+/// its factory; a `?`-suffixed name is a spelling of nothing.
 #[test]
 fn every_alias_canonicalizes() {
     let registry = PolicyRegistry::global();
     for f in registry.factories() {
-        for alias in f.aliases() {
-            let spec = registry.parse(alias).expect("alias parses");
-            assert_eq!(spec.name(), f.name(), "{alias}");
-            let upper = registry
-                .parse(&alias.to_uppercase())
-                .expect("aliases are case-insensitive");
-            assert_eq!(upper.name(), f.name(), "{alias}");
+        for name in std::iter::once(f.name()).chain(f.aliases().iter().copied()) {
+            for spelling in [name.to_string(), name.to_uppercase()] {
+                let spec = registry.parse(&spelling).expect("name parses");
+                assert_eq!(spec, PolicySpec::new(f.name()), "{spelling}");
+                assert_eq!(spec.slug(), f.name(), "{spelling}");
+            }
+            let suffixed = format!("{name}?gamma=1.5");
+            assert_eq!(
+                registry.parse(&suffixed),
+                Err(PolicyError::Unknown {
+                    name: suffixed.clone(),
+                    known: registry.known_names(),
+                })
+            );
         }
-    }
-}
-
-proptest! {
-    /// Guarantee 3b: `parse(slug(spec)) == spec` for any registered
-    /// name and any parameter set expressible in the slug grammar.
-    #[test]
-    fn spec_round_trips_through_its_slug(
-        name_i in 0usize..64,
-        params in proptest::collection::vec((0u8..26, 0u32..100_000), 0..4),
-    ) {
-        let registry = PolicyRegistry::global();
-        let names = registry.names();
-        let mut spec = PolicySpec::new(names[name_i % names.len()]);
-        for (ki, vi) in params {
-            // Keys from a 26-letter alphabet, values numeric-ish —
-            // everything the slug grammar (`?`, `&`, `=`-free tokens)
-            // admits. Duplicate keys exercise replace-on-insert.
-            let key = ((b'a' + ki) as char).to_string();
-            spec = spec.with_param(key, format!("{}.{}", vi / 100, vi % 100));
-        }
-        let parsed = registry.parse(&spec.slug()).expect("slug parses");
-        prop_assert_eq!(parsed, spec);
     }
 }

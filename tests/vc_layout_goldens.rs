@@ -17,12 +17,12 @@
 //! DOZZNOC_BLESS=1 cargo test --test vc_layout_goldens
 //! ```
 
-use std::path::PathBuf;
-
 use dozznoc::noc::network::SimError;
 use dozznoc::prelude::*;
 
 use serde_json::{json, Value};
+
+mod common;
 
 /// Short horizon, as in `tests/determinism.rs`.
 const DUR_NS: u64 = 2_000;
@@ -36,13 +36,6 @@ const VC_DEPTHS: [usize; 3] = [1, 2, 5];
 /// Registry names of the three power-management regimes: always-on,
 /// gating only, and gating plus ML-driven DVFS.
 const POLICIES: [&str; 3] = ["baseline", "pg", "dozznoc"];
-
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("goldens")
-        .join("vc_layout_reports.jsonl")
-}
 
 /// Build every golden record from the current simulator, one compact
 /// JSON document per line so a divergence points at one record.
@@ -89,39 +82,5 @@ fn actual_lines() -> Vec<String> {
 fn non_paper_vc_layouts_match_golden() {
     let mut actual = actual_lines().join("\n");
     actual.push('\n');
-    let path = golden_path();
-    #[allow(
-        clippy::disallowed_methods,
-        reason = "DOZZNOC_BLESS only selects between rewriting and comparing the golden file"
-    )]
-    let bless = std::env::var_os("DOZZNOC_BLESS").is_some();
-    if bless {
-        std::fs::write(&path, &actual).expect("write golden file");
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); generate it with \
-             DOZZNOC_BLESS=1 cargo test --test vc_layout_goldens",
-            path.display()
-        )
-    });
-    if actual != golden {
-        let line = actual.lines().zip(golden.lines()).position(|(a, g)| a != g);
-        match line {
-            Some(n) => panic!(
-                "VC-layout golden diverged at line {}:\n  actual: {}\n  golden: {}\n\
-                 If this change is intentional, re-bless with \
-                 DOZZNOC_BLESS=1 cargo test --test vc_layout_goldens",
-                n + 1,
-                actual.lines().nth(n).unwrap_or_default(),
-                golden.lines().nth(n).unwrap_or_default(),
-            ),
-            None => panic!(
-                "VC-layout golden differs only in length ({} vs {} lines)",
-                actual.lines().count(),
-                golden.lines().count()
-            ),
-        }
-    }
+    common::assert_golden("vc_layout_reports.jsonl", &actual);
 }
