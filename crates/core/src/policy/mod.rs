@@ -1,10 +1,8 @@
 //! The five evaluation models, built through
 //! [`crate::registry::PolicyRegistry::global`] from one table of paper
 //! models, plus the policies the training pipeline and the ablations
-//! construct directly: the reactive training variants, the oracle and
-//! the online-adaptive DVFS.
+//! construct directly: the reactive training variants and the oracle.
 
-mod adaptive;
 mod baseline;
 mod factories;
 mod oracle;
@@ -12,7 +10,6 @@ mod power_gate;
 mod proactive;
 mod reactive;
 
-pub use adaptive::Adaptive;
 pub use baseline::Baseline;
 pub use oracle::Oracle;
 pub use power_gate::PowerGated;

@@ -7,7 +7,7 @@
 //!   balances savings against break-even violations; the sweep makes the
 //!   trade-off measurable.
 
-use dozznoc_core::{run_model, Adaptive, ModelKind, Oracle, Proactive, Reactive};
+use dozznoc_core::{run_model, ModelKind, Oracle, Proactive, Reactive};
 use dozznoc_ml::FeatureSet;
 use dozznoc_noc::{Network, NocConfig, PowerPolicy, RunReport};
 use dozznoc_topology::Topology;
@@ -140,65 +140,6 @@ pub fn proactive(ctx: &Ctx) {
     ctx.write_csv(
         "ablation_proactive.csv",
         "benchmark,selector,net_lat_ns,dyn_save_pct,static_save_pct,tput_flits_per_ns",
-        &rows,
-    );
-}
-
-/// Offline vs. online-adaptive prediction under workload drift: deploy
-/// on traces generated with a seed the offline model never saw.
-pub fn online(ctx: &Ctx) {
-    banner("Extension — offline ridge vs online-adaptive RLS under drift");
-    let topo = Topology::mesh8x8();
-    let cfg = NocConfig::paper(topo);
-    let suite = suite_for(ctx, topo, 500, FeatureSet::Reduced5);
-    // Drifted deployment: same benchmarks, different generator seed.
-    let drift_seed = ctx.seed.wrapping_add(0xD05E);
-
-    println!(
-        "{:<12} {:<16} {:>11} {:>11} {:>10}",
-        "benchmark", "selector", "net-lat ns", "dyn-save %", "static %"
-    );
-    let mut rows = Vec::new();
-    for &bench in &TEST_BENCHMARKS {
-        let trace = TraceGenerator::new(topo)
-            .with_duration_ns(ctx.duration_ns())
-            .with_seed(drift_seed)
-            .generate(bench);
-        let base = run_model(cfg, &trace, ModelKind::Baseline, &suite);
-        let mut run = |name: &str, policy: &mut dyn PowerPolicy| {
-            let r = Network::new(cfg)
-                .run(&trace, policy)
-                .expect("online ablation run");
-            println!(
-                "{:<12} {:<16} {:>11.1} {:>11.1} {:>10.1}",
-                bench.name(),
-                name,
-                r.stats.avg_net_latency_ns(),
-                (1.0 - r.dynamic_energy_vs(&base)) * 100.0,
-                (1.0 - r.static_energy_vs(&base)) * 100.0,
-            );
-            rows.push(format!(
-                "{},{},{:.2},{:.4},{:.4}",
-                bench.name(),
-                name,
-                r.stats.avg_net_latency_ns(),
-                (1.0 - r.dynamic_energy_vs(&base)) * 100.0,
-                (1.0 - r.static_energy_vs(&base)) * 100.0
-            ));
-        };
-        run("offline", &mut Proactive::dozznoc(suite.dozznoc.clone()));
-        run(
-            "online-warm",
-            &mut Adaptive::from_offline(&suite.dozznoc, topo.num_routers(), true),
-        );
-        run(
-            "online-cold",
-            &mut Adaptive::cold(FeatureSet::Reduced5, topo.num_routers(), true),
-        );
-    }
-    ctx.write_csv(
-        "ablation_online.csv",
-        "benchmark,selector,net_lat_ns,dyn_save_pct,static_save_pct",
         &rows,
     );
 }

@@ -21,8 +21,8 @@ pub struct Ctx {
     pub bench: Option<Benchmark>,
     /// Model selector (`--model`), for commands that run one policy.
     pub model: Option<String>,
-    /// Worker threads for campaign matrices (`--jobs N`, or the
-    /// `DOZZ_JOBS` env var). `None` uses every available core.
+    /// Worker threads for campaign matrices (`--jobs N`). `None` uses
+    /// every available core.
     pub jobs: Option<NonZeroUsize>,
     /// Disable the content-addressed run cache (`--no-cache`): every
     /// cell simulates even when a stored report exists.
@@ -32,19 +32,8 @@ pub struct Ctx {
 impl Ctx {
     /// Parse `--quick`, `--out DIR`, `--seed N`, `--bench NAME`,
     /// `--model NAME`, `--jobs N`, `--no-cache` from the argument list.
-    /// When `--jobs` is absent, the `DOZZ_JOBS` environment variable is
-    /// consulted. A bad argument is a one-line error message.
+    /// A bad argument is a one-line error message.
     pub fn from_args(args: &[String]) -> Result<Ctx, String> {
-        #[allow(
-            clippy::disallowed_methods,
-            reason = "DOZZ_JOBS sets the worker count, which never changes simulated output"
-        )]
-        let env_jobs = std::env::var("DOZZ_JOBS").ok();
-        Ctx::parse(args, env_jobs.as_deref())
-    }
-
-    /// [`Ctx::from_args`] with the `DOZZ_JOBS` value passed in.
-    fn parse(args: &[String], env_jobs: Option<&str>) -> Result<Ctx, String> {
         let mut ctx = Ctx {
             out_dir: PathBuf::from("results"),
             quick: false,
@@ -53,10 +42,6 @@ impl Ctx {
             model: None,
             jobs: None,
             no_cache: false,
-        };
-        let parse_jobs = |s: &str, origin: &str| -> Result<NonZeroUsize, String> {
-            s.parse()
-                .map_err(|_| format!("{origin} needs a positive integer, got `{s}`"))
         };
         let mut it = args.iter();
         while let Some(a) = it.next() {
@@ -75,15 +60,16 @@ impl Ctx {
                         .parse()
                         .map_err(|_| format!("--seed needs an integer, got `{v}`"))?;
                 }
-                "--jobs" => ctx.jobs = Some(parse_jobs(value("a worker count")?, "--jobs")?),
+                "--jobs" => {
+                    let v = value("a worker count")?;
+                    ctx.jobs = Some(
+                        v.parse()
+                            .map_err(|_| format!("--jobs needs a positive integer, got `{v}`"))?,
+                    );
+                }
                 "--bench" => ctx.bench = Some(parse_bench(value("a benchmark name")?)?),
                 "--model" => ctx.model = Some(value("a model name")?.to_string()),
                 other => return Err(format!("unknown flag `{other}`")),
-            }
-        }
-        if ctx.jobs.is_none() {
-            if let Some(v) = env_jobs {
-                ctx.jobs = Some(parse_jobs(v, "DOZZ_JOBS")?);
             }
         }
         Ok(ctx)
@@ -158,12 +144,8 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> Result<Ctx, String> {
-        parse_env(args, None)
-    }
-
-    fn parse_env(args: &[&str], env_jobs: Option<&str>) -> Result<Ctx, String> {
         let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-        Ctx::parse(&args, env_jobs)
+        Ctx::from_args(&args)
     }
 
     #[test]
@@ -219,18 +201,6 @@ mod tests {
             .err()
             .expect("zero workers rejected");
         assert_eq!(err, "--jobs needs a positive integer, got `0`");
-    }
-
-    #[test]
-    fn bad_dozz_jobs_is_an_error_unless_jobs_is_given() {
-        let err = parse_env(&[], Some("many"))
-            .err()
-            .expect("bad DOZZ_JOBS rejected");
-        assert_eq!(err, "DOZZ_JOBS needs a positive integer, got `many`");
-        let ctx = parse_env(&["--jobs", "2"], Some("many")).expect("--jobs wins");
-        assert_eq!(ctx.jobs, NonZeroUsize::new(2));
-        let ctx = parse_env(&[], Some("4")).expect("valid DOZZ_JOBS");
-        assert_eq!(ctx.jobs, NonZeroUsize::new(4));
     }
 
     #[test]

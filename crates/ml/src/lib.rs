@@ -14,10 +14,7 @@
 //! * [`features`] — the Reduced-5 (Table IV) and Full-41 feature-set
 //!   definitions shared with the simulator;
 //! * [`metrics`] — MSE/R² and the paper's *mode-selection accuracy*;
-//! * [`model`] — the exported weight vector (what the simulator loads);
-//! * [`online`] — an RLS extension for on-line adaptation (the paper's
-//!   related-work direction), which the online-adaptive DVFS ablation
-//!   deploys.
+//! * [`model`] — the exported weight vector (what the simulator loads).
 
 #![cfg_attr(
     test,
@@ -32,7 +29,6 @@ pub mod features;
 pub mod linalg;
 pub mod metrics;
 pub mod model;
-pub mod online;
 pub mod ridge;
 
 pub use dataset::Dataset;
@@ -40,5 +36,4 @@ pub use features::{FeatureId, FeatureSet};
 pub use linalg::Matrix;
 pub use metrics::{mode_of_utilization, mode_selection_accuracy, mse, r_squared};
 pub use model::TrainedModel;
-pub use online::RecursiveLeastSquares;
 pub use ridge::{RidgeRegression, RidgeReport};

@@ -127,3 +127,43 @@ proptest! {
         }
     }
 }
+
+/// At λ > 0 on noisy data, `fit` solves the regularized normal
+/// equations `(XᵀX + λI)w = Xᵀt`. Both sides are built here with plain
+/// loops, not with the `Matrix` helpers `fit` itself uses.
+#[test]
+fn ridge_solves_regularized_normal_equations_on_noisy_data() {
+    let (dim, n) = (4, 200);
+    let mut state = 0x5eed_cafe_u64;
+    let mut noise = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+    };
+    let true_w: Vec<f64> = (0..dim).map(|j| j as f64 - 1.5).collect();
+    let mut ds = Dataset::new(dim);
+    for _ in 0..n {
+        let mut x = vec![1.0];
+        x.extend((1..dim).map(|_| noise() * 2.0));
+        let t = x.iter().zip(&true_w).map(|(a, b)| a * b).sum::<f64>() + 0.05 * noise();
+        ds.push(&x, t);
+    }
+
+    for lambda in [1e-2, 1.0, 10.0] {
+        let w = RidgeRegression::new(lambda).fit(&ds);
+        for j in 0..dim {
+            let mut lhs = lambda * w[j];
+            let mut rhs = 0.0;
+            for i in 0..n {
+                let x = ds.example(i);
+                lhs += x[j] * x.iter().zip(&w).map(|(a, b)| a * b).sum::<f64>();
+                rhs += x[j] * ds.label(i);
+            }
+            assert!(
+                (lhs - rhs).abs() <= 1e-9 * rhs.abs().max(1.0),
+                "λ={lambda}, row {j}: (XᵀX + λI)w = {lhs} vs Xᵀt = {rhs}"
+            );
+        }
+    }
+}

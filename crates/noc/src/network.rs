@@ -262,13 +262,6 @@ pub struct Network {
     /// The policy's [`PowerPolicy::gating_enabled`], read once per run:
     /// the sleep bound of an idle active router depends on it.
     gating: bool,
-    /// Dump router state on livelock (the `DOZZNOC_DUMP_ON_LIVELOCK`
-    /// env var, read once at construction: the engine region itself
-    /// must stay free of ambient process state — determinism-taint
-    /// pass). Deliberately not part of `NocConfig`: it changes only
-    /// what is printed on an error path, never simulation output, so
-    /// it must not perturb run-cache fingerprints.
-    dump_on_livelock: bool,
     /// Deferred cross-router effects emitted during the current tick's
     /// fire phase, in emission order.
     outbox: Vec<Effect>,
@@ -310,12 +303,6 @@ impl Network {
             sched: EventQueue::new(n, 0),
             out_cand: vec![0; topo.ports_per_router()],
             gating: false,
-            #[allow(
-                clippy::disallowed_methods,
-                reason = "read once at construction, before any simulation state exists; the flag \
-                          only gates error-path printing, never simulation output"
-            )]
-            dump_on_livelock: std::env::var_os("DOZZNOC_DUMP_ON_LIVELOCK").is_some(),
             outbox: Vec::new(),
         }
     }
@@ -328,38 +315,6 @@ impl Network {
     /// Borrow a router (tests, diagnostics).
     pub fn router(&self, id: RouterId) -> &Router {
         &self.routers[id.idx()]
-    }
-
-    /// Dump per-router flow-control state to stderr (diagnostic aid for
-    /// livelock reports).
-    #[doc(hidden)]
-    pub fn dump_state(&self) {
-        eprintln!("tick {} in_flight {}", self.now, self.in_flight);
-        for (i, r) in self.routers.iter().enumerate() {
-            let occ = r.occupancy();
-            let q: usize = self
-                .topo
-                .cores_of_router(r.id)
-                .map(|c| self.inject[c.idx()].len())
-                .sum();
-            if occ == 0 && q == 0 {
-                continue;
-            }
-            eprintln!(
-                "  R{i}: state {:?} occ {occ} ni-q {q} secured {} stall_until {} next_cycle {}",
-                r.state, self.secured[i], r.stall_until, r.next_cycle_at
-            );
-            for ((p, v), vc) in r.vcs().filter(|(_, vc)| !vc.is_empty()) {
-                eprintln!(
-                    "    port {p} vc {v}: len {} owner {:?} route {:?} front {:?}",
-                    vc.len(),
-                    vc.owner(),
-                    vc.route(),
-                    vc.peek_ready(u64::MAX)
-                        .map(|f| (f.packet, f.kind, f.seq, f.dst))
-                );
-            }
-        }
     }
 
     /// Run `trace` under `policy` to completion and report.
@@ -441,9 +396,6 @@ impl Network {
                 break;
             }
             if self.now >= self.cfg.max_ticks {
-                if self.dump_on_livelock {
-                    self.dump_state();
-                }
                 return Err(SimError::Livelock {
                     in_flight: self.in_flight,
                 });

@@ -189,12 +189,6 @@ impl RunReport {
     pub fn latency_vs(&self, baseline: &RunReport) -> f64 {
         self.stats.avg_net_latency_ns() / baseline.stats.avg_net_latency_ns().max(f64::MIN_POSITIVE)
     }
-
-    /// Mean end-to-end latency (incl. source queueing) relative to
-    /// another run.
-    pub fn e2e_latency_vs(&self, baseline: &RunReport) -> f64 {
-        self.stats.avg_latency_ns() / baseline.stats.avg_latency_ns().max(f64::MIN_POSITIVE)
-    }
 }
 
 #[cfg(test)]

@@ -136,16 +136,6 @@ impl EnergyLedger {
         }
     }
 
-    /// A ledger with custom costs (for ablations).
-    #[must_use]
-    pub fn with_costs(num_routers: usize, costs: DsentCosts) -> Self {
-        EnergyLedger {
-            costs,
-            simo: SimoRegulator::default(),
-            routers: vec![RouterEnergy::default(); num_routers],
-        }
-    }
-
     /// The cost table in force.
     pub fn costs(&self) -> &DsentCosts {
         &self.costs

@@ -113,11 +113,6 @@ impl SwitchDelayTable {
         }
         worst
     }
-
-    /// Raw matrix, for table regeneration.
-    pub fn matrix_ns(&self) -> &[[f64; 6]; 6] {
-        &self.ns
-    }
 }
 
 #[cfg(test)]

@@ -48,10 +48,10 @@ pub use dozznoc_types as types;
 /// Everything a typical experiment needs, importable in one line.
 pub mod prelude {
     pub use dozznoc_core::{
-        run_model, run_policy_with_telemetry, Adaptive, Baseline, CacheStats, Campaign, CellRun,
-        Collector, EngineOptions, Fingerprint, ModelKind, ModelSuite, Oracle, PolicyCellRun,
-        PolicyContext, PolicyError, PolicyFactory, PolicyRegistry, PolicyResult, PolicySpec,
-        PowerGated, Proactive, Reactive, RunCache, Trainer,
+        run_model, run_policy_with_telemetry, Baseline, CacheStats, Campaign, CellRun, Collector,
+        EngineOptions, Fingerprint, ModelKind, ModelSuite, Oracle, PolicyCellRun, PolicyContext,
+        PolicyError, PolicyFactory, PolicyRegistry, PolicyResult, PolicySpec, PowerGated,
+        Proactive, Reactive, RunCache, Trainer,
     };
     pub use dozznoc_ml::{
         mode_of_utilization, mode_selection_accuracy, Dataset, FeatureSet, RidgeRegression,
