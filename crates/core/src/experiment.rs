@@ -130,11 +130,10 @@ pub struct PolicyCellRun {
 }
 
 /// A full evaluation campaign: all five models over a set of benchmarks,
-/// at a given compression factor.
+/// at a given load scale.
 #[derive(Debug, Clone)]
 pub struct Campaign {
-    topology: Topology,
-    epoch_cycles: u64,
+    config: NocConfig,
     duration_ns: u64,
     seed: u64,
     load_scale: (u64, u64),
@@ -145,8 +144,7 @@ impl Campaign {
     /// A campaign at the paper's defaults over all five models.
     pub fn new(topology: Topology) -> Self {
         Campaign {
-            topology,
-            epoch_cycles: 500,
+            config: NocConfig::paper(topology),
             duration_ns: TraceGenerator::DEFAULT_DURATION_NS,
             seed: 0,
             load_scale: (1, 1),
@@ -158,11 +156,18 @@ impl Campaign {
     /// [`dozznoc_types::MIN_EPOCH_CYCLES`]).
     #[must_use = "the updated builder is returned, not applied in place"]
     pub fn try_with_epoch_cycles(mut self, epoch_cycles: u64) -> Result<Self, ConfigError> {
-        if epoch_cycles < dozznoc_types::MIN_EPOCH_CYCLES {
-            return Err(ConfigError::DegenerateEpoch { epoch_cycles });
-        }
-        self.epoch_cycles = epoch_cycles;
+        self.config = self.config.try_with_epoch_cycles(epoch_cycles)?;
         Ok(self)
+    }
+
+    /// Simulator configuration override (T-Idle, wake punching, routing
+    /// order, …). It replaces the whole configuration, topology and
+    /// epoch included; traces target its topology. The run cache keys
+    /// on the serialized configuration, so variants never share cells.
+    #[must_use]
+    pub fn with_config(mut self, config: NocConfig) -> Self {
+        self.config = config;
+        self
     }
 
     /// Trace horizon override.
@@ -177,17 +182,6 @@ impl Campaign {
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
-    }
-
-    /// Run on time-compressed traces (Fig. 8(a,b)). A factor of 1 is
-    /// uncompressed; 0 is rejected.
-    #[must_use = "the updated builder is returned, not applied in place"]
-    pub fn try_with_compression(mut self, factor: u64) -> Result<Self, ConfigError> {
-        if factor == 0 {
-            return Err(ConfigError::ZeroCompression);
-        }
-        self.load_scale = (1, factor);
-        Ok(self)
     }
 
     /// Fractional compression: injection times scaled by `num/den`
@@ -215,14 +209,12 @@ impl Campaign {
 
     /// Simulator configuration the campaign uses.
     pub fn config(&self) -> NocConfig {
-        NocConfig::paper(self.topology)
-            .try_with_epoch_cycles(self.epoch_cycles)
-            .expect("campaign epoch validated at construction")
+        self.config
     }
 
     /// Generate (and optionally compress) one benchmark's trace.
     pub fn trace(&self, bench: Benchmark) -> Trace {
-        let t = TraceGenerator::new(self.topology)
+        let t = TraceGenerator::new(self.config.topology)
             .with_duration_ns(self.duration_ns)
             .with_seed(self.seed)
             .generate(bench);
@@ -344,7 +336,7 @@ impl Campaign {
         for spec in specs {
             drop(registry.build(spec, &ctx)?);
         }
-        let cfg = self.config();
+        let cfg = self.config;
         let mut cells = Vec::with_capacity(labels.len() * specs.len());
         for si in 0..labels.len() {
             for spec in specs {
@@ -607,17 +599,6 @@ mod tests {
         assert_eq!(err, ConfigError::DegenerateEpoch { epoch_cycles: 5 });
         assert!(Campaign::new(Topology::mesh8x8())
             .try_with_epoch_cycles(dozznoc_types::MIN_EPOCH_CYCLES)
-            .is_ok());
-    }
-
-    #[test]
-    fn zero_compression_is_rejected() {
-        let err = Campaign::new(Topology::mesh8x8())
-            .try_with_compression(0)
-            .unwrap_err();
-        assert_eq!(err, ConfigError::ZeroCompression);
-        assert!(Campaign::new(Topology::mesh8x8())
-            .try_with_compression(1)
             .is_ok());
     }
 

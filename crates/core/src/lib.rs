@@ -59,6 +59,6 @@ pub use experiment::{
 pub use features::{extract_features, feature_value};
 pub use measure::CellMeasure;
 pub use model::ModelKind;
-pub use policy::{Baseline, Oracle, PowerGated, Proactive, Reactive};
+pub use policy::{Baseline, PowerGated, Proactive, Reactive};
 pub use registry::{PolicyContext, PolicyError, PolicyFactory, PolicyRegistry, PolicySpec};
 pub use training::{ModelSuite, Trainer};

@@ -45,22 +45,18 @@ impl ReactiveKind {
 /// Training orchestrator: owns the trace generator and simulator config.
 #[derive(Debug, Clone, Copy)]
 pub struct Trainer {
-    topology: Topology,
-    epoch_cycles: u64,
+    config: NocConfig,
     duration_ns: u64,
     seed: u64,
-    load_scale: (u64, u64),
 }
 
 impl Trainer {
     /// A trainer at the paper's defaults (epoch 500, uncompressed).
     pub fn new(topology: Topology) -> Self {
         Trainer {
-            topology,
-            epoch_cycles: 500,
+            config: NocConfig::paper(topology),
             duration_ns: TraceGenerator::DEFAULT_DURATION_NS,
             seed: 0,
-            load_scale: (1, 1),
         }
     }
 
@@ -68,10 +64,7 @@ impl Trainer {
     /// epochs shorter than [`dozznoc_types::MIN_EPOCH_CYCLES`].
     #[must_use = "the updated builder is returned, not applied in place"]
     pub fn try_with_epoch_cycles(mut self, epoch_cycles: u64) -> Result<Self, ConfigError> {
-        if epoch_cycles < dozznoc_types::MIN_EPOCH_CYCLES {
-            return Err(ConfigError::DegenerateEpoch { epoch_cycles });
-        }
-        self.epoch_cycles = epoch_cycles;
+        self.config = self.config.try_with_epoch_cycles(epoch_cycles)?;
         Ok(self)
     }
 
@@ -89,40 +82,16 @@ impl Trainer {
         self
     }
 
-    /// Collect (and train on) time-compressed traces.
-    #[must_use = "the updated builder is returned, not applied in place"]
-    pub fn try_with_compression(mut self, factor: u64) -> Result<Self, ConfigError> {
-        if factor == 0 {
-            return Err(ConfigError::ZeroCompression);
-        }
-        self.load_scale = (1, factor);
-        Ok(self)
-    }
-
-    /// Fractional load scaling (see `Campaign::try_with_load_scale`).
-    #[must_use = "the updated builder is returned, not applied in place"]
-    pub fn try_with_load_scale(mut self, num: u64, den: u64) -> Result<Self, ConfigError> {
-        if num == 0 || den == 0 {
-            return Err(ConfigError::ZeroLoadScale { num, den });
-        }
-        self.load_scale = (num, den);
-        Ok(self)
-    }
-
     /// The simulator configuration training runs use.
     pub fn config(&self) -> NocConfig {
-        NocConfig::paper(self.topology)
-            .try_with_epoch_cycles(self.epoch_cycles)
-            .expect("trainer epoch validated at construction")
+        self.config
     }
 
     fn trace(&self, bench: Benchmark) -> Trace {
-        let t = TraceGenerator::new(self.topology)
+        TraceGenerator::new(self.config.topology)
             .with_duration_ns(self.duration_ns)
             .with_seed(self.seed)
-            .generate(bench);
-        let (num, den) = self.load_scale;
-        t.rescale(num, den)
+            .generate(bench)
     }
 
     /// Run the reactive collector over `benches` and return the pooled
@@ -131,12 +100,12 @@ impl Trainer {
         let mut pooled = Dataset::new(FeatureSet::Full41.len());
         for &bench in benches {
             let trace = self.trace(bench);
-            let mut collector = Collector::new(kind.policy(), self.topology.num_routers());
+            let mut collector = Collector::new(kind.policy(), self.config.topology.num_routers());
             #[allow(
                 clippy::panic,
                 reason = "driver-level escalation; a failed training run has no recovery"
             )]
-            Network::new(self.config())
+            Network::new(self.config)
                 .run(&trace, &mut collector)
                 .unwrap_or_else(|e| panic!("training run on {bench} failed: {e}"));
             let (ds, _) = collector.into_dataset();
@@ -167,7 +136,7 @@ impl Trainer {
         TrainedModel::new(
             feature_set,
             report.weights,
-            self.epoch_cycles,
+            self.config.epoch_cycles,
             report.lambda,
             report.validation_mse,
         )

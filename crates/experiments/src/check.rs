@@ -17,7 +17,7 @@
 //! traces; `--jobs N` sets the worker count. Results are also written
 //! to `sanitizer_check.csv` under `--out`.
 
-use dozznoc_core::{Campaign, EngineOptions};
+use dozznoc_core::EngineOptions;
 use dozznoc_ml::FeatureSet;
 use dozznoc_topology::Topology;
 use dozznoc_traffic::{Benchmark, TEST_BENCHMARKS};
@@ -50,9 +50,7 @@ pub fn run(ctx: &Ctx) {
     );
     for topo in [Topology::mesh8x8(), Topology::cmesh4x4()] {
         let suite = suite_for(ctx, topo, 500, FeatureSet::Reduced5);
-        let campaign = Campaign::new(topo)
-            .with_duration_ns(ctx.duration_ns())
-            .with_seed(ctx.seed);
+        let campaign = ctx.campaign(topo);
         for cell in campaign.run_cells(&benches, &suite, &opts) {
             let (sweeps, violations) = cell
                 .sanitizer

@@ -6,7 +6,8 @@ use std::io::Write;
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
 
-use dozznoc_core::{EngineOptions, RunCache};
+use dozznoc_core::{Campaign, EngineOptions, RunCache};
+use dozznoc_topology::Topology;
 use dozznoc_traffic::{Benchmark, ALL_BENCHMARKS};
 
 /// Parsed command-line context shared by every experiment.
@@ -82,6 +83,14 @@ impl Ctx {
         } else {
             50_000
         }
+    }
+
+    /// A campaign over `topo` at the paper's defaults, on this run's
+    /// trace horizon and seed.
+    pub fn campaign(&self, topo: Topology) -> Campaign {
+        Campaign::new(topo)
+            .with_duration_ns(self.duration_ns())
+            .with_seed(self.seed)
     }
 
     /// The run cache campaign commands share, under

@@ -1,7 +1,7 @@
 //! Fig. 7: distribution of predicted DVFS modes for the three ML models
 //! over the five test benchmarks (8×8 mesh, uncompressed, epoch 500).
 
-use dozznoc_core::{Campaign, ModelKind};
+use dozznoc_core::ModelKind;
 use dozznoc_ml::FeatureSet;
 use dozznoc_topology::Topology;
 use dozznoc_traffic::TEST_BENCHMARKS;
@@ -17,9 +17,8 @@ pub fn run(ctx: &Ctx) {
     banner("Fig. 7 — DVFS mode distribution (8×8 mesh, uncompressed, epoch 500)");
     let topo = Topology::mesh8x8();
     let suite = suite_for(ctx, topo, 500, FeatureSet::Reduced5);
-    let campaign = Campaign::new(topo)
-        .with_duration_ns(ctx.duration_ns())
-        .with_seed(ctx.seed)
+    let campaign = ctx
+        .campaign(topo)
         .try_with_models(&ML_MODELS)
         .expect("non-empty model set");
     let results = engine::run_campaign(ctx, &campaign, &TEST_BENCHMARKS, &suite);

@@ -6,7 +6,7 @@
 //! saturation during busy phases); uncompressed runs the raw traces.
 
 use dozznoc_core::model::ALL_MODELS;
-use dozznoc_core::{Campaign, CampaignResult, ModelKind};
+use dozznoc_core::{CampaignResult, ModelKind};
 use dozznoc_ml::FeatureSet;
 use dozznoc_topology::Topology;
 use dozznoc_traffic::TEST_BENCHMARKS;
@@ -21,15 +21,12 @@ pub fn run(ctx: &Ctx) {
     let topo = Topology::mesh8x8();
     let suite = suite_for(ctx, topo, 500, FeatureSet::Reduced5);
 
-    let campaign = Campaign::new(topo)
-        .with_duration_ns(ctx.duration_ns())
-        .with_seed(ctx.seed)
+    let campaign = ctx
+        .campaign(topo)
         .try_with_load_scale(2, 3)
         .expect("2/3 compression is valid");
     let compressed = engine::run_campaign(ctx, &campaign, &TEST_BENCHMARKS, &suite);
-    let campaign = Campaign::new(topo)
-        .with_duration_ns(ctx.duration_ns())
-        .with_seed(ctx.seed);
+    let campaign = ctx.campaign(topo);
     let uncompressed = engine::run_campaign(ctx, &campaign, &TEST_BENCHMARKS, &suite);
 
     println!("\n(a) throughput, compressed traces (flits/ns)");

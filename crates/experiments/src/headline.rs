@@ -3,7 +3,7 @@
 //! the DOZZNOC-5 vs DOZZNOC-41 feature ablation.
 
 use dozznoc_core::experiment::summarize;
-use dozznoc_core::{Campaign, ModelKind};
+use dozznoc_core::ModelKind;
 use dozznoc_ml::FeatureSet;
 use dozznoc_topology::Topology;
 use dozznoc_traffic::TEST_BENCHMARKS;
@@ -34,9 +34,7 @@ pub fn run(ctx: &Ctx) {
             topo.kind()
         ));
         let suite = suite_for(ctx, topo, 500, FeatureSet::Reduced5);
-        let campaign = Campaign::new(topo)
-            .with_duration_ns(ctx.duration_ns())
-            .with_seed(ctx.seed);
+        let campaign = ctx.campaign(topo);
         let results = engine::run_campaign(ctx, &campaign, &TEST_BENCHMARKS, &suite);
         let summaries = summarize(&results);
 
@@ -108,9 +106,8 @@ pub fn ablation_features(ctx: &Ctx) {
     let mut rows = Vec::new();
     for fs in [FeatureSet::Reduced5, FeatureSet::Full41] {
         let suite = suite_for(ctx, topo, 500, fs);
-        let campaign = Campaign::new(topo)
-            .with_duration_ns(ctx.duration_ns())
-            .with_seed(ctx.seed)
+        let campaign = ctx
+            .campaign(topo)
             .try_with_models(&[ModelKind::Baseline, ModelKind::DozzNoc])
             .expect("non-empty model set");
         let results = engine::run_campaign(ctx, &campaign, &TEST_BENCHMARKS, &suite);

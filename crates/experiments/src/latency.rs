@@ -4,7 +4,6 @@
 //! the trade-off the paper prices implicitly visible.
 
 use dozznoc_core::model::ALL_MODELS;
-use dozznoc_core::Campaign;
 use dozznoc_ml::FeatureSet;
 use dozznoc_topology::Topology;
 use dozznoc_traffic::TEST_BENCHMARKS;
@@ -18,9 +17,7 @@ pub fn run(ctx: &Ctx) {
     banner("Latency distribution — network latency percentiles (mesh, uncompressed)");
     let topo = Topology::mesh8x8();
     let suite = suite_for(ctx, topo, 500, FeatureSet::Reduced5);
-    let campaign = Campaign::new(topo)
-        .with_duration_ns(ctx.duration_ns())
-        .with_seed(ctx.seed);
+    let campaign = ctx.campaign(topo);
     let results = engine::run_campaign(ctx, &campaign, &TEST_BENCHMARKS, &suite);
 
     println!(

@@ -81,7 +81,6 @@ const COMMANDS: &[Command] = &[
     ("headline", "§IV-B summary numbers, mesh + cmesh", headline::run, true),
     ("ablation-features", "DOZZNOC-5 vs DOZZNOC-41 (§IV-B.1)", headline::ablation_features, true),
     ("ablation-gating", "wake-punch and T-Idle mechanism ablations", ablations::gating, true),
-    ("ablation-proactive", "reactive vs ML vs oracle mode selection", ablations::proactive, true),
     ("scale", "8×8-trained model on 4×4…16×16 meshes", scale::run, true),
     ("latency", "network-latency percentiles per model", latency::run, true),
     ("transition-cost", "rail-transition energy vs the savings lost", overhead::transitions, true),

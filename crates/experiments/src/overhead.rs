@@ -1,8 +1,15 @@
-//! §III-D: ML label-generation overhead for the 5- and 41-feature sets.
+//! §III-D: ML label-generation overhead for the 5- and 41-feature sets,
+//! and the rail-transition energy the paper's accounting leaves out.
 
+use dozznoc_core::ModelKind;
+use dozznoc_ml::FeatureSet;
 use dozznoc_power::MlOverhead;
+use dozznoc_topology::Topology;
+use dozznoc_traffic::TEST_BENCHMARKS;
 
 use crate::ctx::{banner, Ctx};
+use crate::engine;
+use crate::suite::suite_for;
 
 /// Regenerate the overhead comparison.
 pub fn run(ctx: &Ctx) {
@@ -33,36 +40,37 @@ pub fn run(ctx: &Ctx) {
 
 /// Transition-energy study (extension): how big is the wake/switch
 /// charge cost the paper's accounting ignores?
-pub fn transitions(ctx: &crate::ctx::Ctx) {
-    use dozznoc_core::{run_model, ModelKind};
-    use dozznoc_ml::FeatureSet;
-    use dozznoc_topology::Topology;
-    use dozznoc_traffic::{TraceGenerator, TEST_BENCHMARKS};
-
+pub fn transitions(ctx: &Ctx) {
     banner("Extension — rail-transition energy vs the paper's accounting");
     let topo = Topology::mesh8x8();
-    let cfg = dozznoc_noc::NocConfig::paper(topo);
-    let suite = crate::suite::suite_for(ctx, topo, 500, FeatureSet::Reduced5);
+    let suite = suite_for(ctx, topo, 500, FeatureSet::Reduced5);
+    let models = [
+        ModelKind::Baseline,
+        ModelKind::PowerGated,
+        ModelKind::DozzNoc,
+    ];
+    let campaign = ctx
+        .campaign(topo)
+        .try_with_models(&models)
+        .expect("non-empty model set");
+    let results = engine::run_campaign(ctx, &campaign, &TEST_BENCHMARKS, &suite);
 
     println!(
         "{:<12} {:<22} {:>12} {:>12} {:>12} {:>10}",
         "benchmark", "model", "static µJ", "saved µJ", "transition µJ", "share"
     );
     let mut rows = Vec::new();
-    for &bench in &TEST_BENCHMARKS {
-        let trace = TraceGenerator::new(topo)
-            .with_duration_ns(ctx.duration_ns())
-            .with_seed(ctx.seed)
-            .generate(bench);
-        let base = run_model(cfg, &trace, ModelKind::Baseline, &suite);
-        for kind in [ModelKind::PowerGated, ModelKind::DozzNoc] {
-            let r = run_model(cfg, &trace, kind, &suite);
+    // Cells are benchmark-major, the baseline first in each block.
+    for cells in results.chunks_exact(models.len()) {
+        let base = &cells[0].report;
+        for cell in &cells[1..] {
+            let r = &cell.report;
             let saved = (base.energy.static_j - r.energy.static_j).max(0.0);
             let share = r.energy.transition_j / saved.max(f64::MIN_POSITIVE);
             println!(
                 "{:<12} {:<22} {:>12.2} {:>12.2} {:>12.3} {:>9.1}%",
-                bench.name(),
-                kind.label(),
+                cell.benchmark,
+                cell.model.label(),
                 r.energy.static_j * 1e6,
                 saved * 1e6,
                 r.energy.transition_j * 1e6,
@@ -70,8 +78,8 @@ pub fn transitions(ctx: &crate::ctx::Ctx) {
             );
             rows.push(format!(
                 "{},{},{:.4e},{:.4e},{:.4e},{:.4}",
-                bench.name(),
-                kind.label(),
+                cell.benchmark,
+                cell.model.label(),
                 r.energy.static_j,
                 saved,
                 r.energy.transition_j,

@@ -8,12 +8,13 @@
 //! 4×4 … 16×16 meshes and reports whether the savings story survives
 //! the transfer.
 
-use dozznoc_core::{run_model, ModelKind};
+use dozznoc_core::ModelKind;
 use dozznoc_ml::FeatureSet;
 use dozznoc_topology::Topology;
-use dozznoc_traffic::{Benchmark, TraceGenerator};
+use dozznoc_traffic::Benchmark;
 
 use crate::ctx::{banner, Ctx};
+use crate::engine;
 use crate::suite::suite_for;
 
 /// Mesh side lengths swept.
@@ -31,17 +32,16 @@ pub fn run(ctx: &Ctx) {
     let mut rows = Vec::new();
     for side in MESH_SIDES {
         let topo = Topology::new(side, side, 1);
-        let cfg = dozznoc_noc::NocConfig::paper(topo);
-        let trace = TraceGenerator::new(topo)
-            .with_duration_ns(ctx.duration_ns())
-            .with_seed(ctx.seed)
-            .generate(Benchmark::Fft);
-        let base = run_model(cfg, &trace, ModelKind::Baseline, &suite);
-        let dozz = run_model(cfg, &trace, ModelKind::DozzNoc, &suite);
-        let s = (1.0 - dozz.static_energy_vs(&base)) * 100.0;
-        let d = (1.0 - dozz.dynamic_energy_vs(&base)) * 100.0;
-        let t = (1.0 - dozz.throughput_vs(&base)) * 100.0;
-        let l = (dozz.latency_vs(&base) - 1.0) * 100.0;
+        let campaign = ctx
+            .campaign(topo)
+            .try_with_models(&[ModelKind::Baseline, ModelKind::DozzNoc])
+            .expect("non-empty model set");
+        let results = engine::run_campaign(ctx, &campaign, &[Benchmark::Fft], &suite);
+        let (base, dozz) = (&results[0].report, &results[1].report);
+        let s = (1.0 - dozz.static_energy_vs(base)) * 100.0;
+        let d = (1.0 - dozz.dynamic_energy_vs(base)) * 100.0;
+        let t = (1.0 - dozz.throughput_vs(base)) * 100.0;
+        let l = (dozz.latency_vs(base) - 1.0) * 100.0;
         println!(
             "{:>6} {:>8} {:>11.1}% {:>11.1}% {:>10.1}% {:>10.1}%",
             format!("{side}×{side}"),

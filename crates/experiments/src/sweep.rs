@@ -4,7 +4,7 @@
 //! separately trained model.
 
 use dozznoc_core::experiment::summarize;
-use dozznoc_core::{Campaign, ModelKind};
+use dozznoc_core::ModelKind;
 use dozznoc_ml::FeatureSet;
 use dozznoc_topology::Topology;
 use dozznoc_traffic::TEST_BENCHMARKS;
@@ -27,11 +27,10 @@ pub fn run(ctx: &Ctx) {
     let mut rows = Vec::new();
     for epoch in EPOCH_SIZES {
         let suite = suite_for(ctx, topo, epoch, FeatureSet::Reduced5);
-        let campaign = Campaign::new(topo)
+        let campaign = ctx
+            .campaign(topo)
             .try_with_epoch_cycles(epoch)
             .expect("sweep epoch sizes are valid")
-            .with_duration_ns(ctx.duration_ns())
-            .with_seed(ctx.seed)
             .try_with_models(&[ModelKind::Baseline, ModelKind::DozzNoc])
             .expect("non-empty model set");
         let results = engine::run_campaign(ctx, &campaign, &TEST_BENCHMARKS, &suite);

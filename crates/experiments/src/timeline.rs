@@ -19,7 +19,7 @@ use dozznoc_core::{run_policy_with_telemetry, ModelSuite, PolicyRegistry, Policy
 use dozznoc_ml::{FeatureSet, TrainedModel};
 use dozznoc_noc::TimelineSink;
 use dozznoc_topology::Topology;
-use dozznoc_traffic::{Benchmark, TraceGenerator};
+use dozznoc_traffic::Benchmark;
 
 use crate::ctx::{banner, Ctx};
 use crate::suite::suite_for;
@@ -68,13 +68,11 @@ pub fn run(ctx: &Ctx) {
     } else {
         untrained_suite()
     };
-    let trace = TraceGenerator::new(topo)
-        .with_duration_ns(ctx.duration_ns())
-        .with_seed(ctx.seed)
-        .generate(bench);
+    let campaign = ctx.campaign(topo);
+    let trace = campaign.trace(bench);
 
     let mut sink = TimelineSink::new();
-    let cfg = dozznoc_noc::NocConfig::paper(topo);
+    let cfg = campaign.config();
     let report = match run_policy_with_telemetry(cfg, &trace, &spec, registry, &suite, &mut sink) {
         Ok(report) => report,
         Err(e) => {

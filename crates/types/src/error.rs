@@ -24,9 +24,6 @@ pub enum ConfigError {
         /// The rejected epoch length.
         epoch_cycles: u64,
     },
-    /// Time-compression factor of zero (a factor of 1 means
-    /// "uncompressed"; zero would divide injection times away).
-    ZeroCompression,
     /// Load-scale fraction with a zero numerator or denominator.
     ZeroLoadScale {
         /// Numerator of the rejected `num/den` injection-time scale.
@@ -58,9 +55,6 @@ impl core::fmt::Display for ConfigError {
                 f,
                 "degenerate epoch: {epoch_cycles} cycles (minimum {MIN_EPOCH_CYCLES})"
             ),
-            ConfigError::ZeroCompression => {
-                write!(f, "compression factor must be at least 1")
-            }
             ConfigError::ZeroLoadScale { num, den } => {
                 write!(f, "load scale {num}/{den} has a zero term")
             }

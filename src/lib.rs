@@ -49,7 +49,7 @@ pub use dozznoc_types as types;
 pub mod prelude {
     pub use dozznoc_core::{
         run_model, run_policy_with_telemetry, Baseline, CacheStats, Campaign, CellRun, Collector,
-        EngineOptions, Fingerprint, ModelKind, ModelSuite, Oracle, PolicyCellRun, PolicyContext,
+        EngineOptions, Fingerprint, ModelKind, ModelSuite, PolicyCellRun, PolicyContext,
         PolicyError, PolicyFactory, PolicyRegistry, PolicyResult, PolicySpec, PowerGated,
         Proactive, Reactive, RunCache, Trainer,
     };
